@@ -5,7 +5,7 @@
 //! stack reports — interior-point barrier iterations, KKT factorizations,
 //! simplex pivots, branch-and-bound nodes — next to informational wall-clock
 //! timing. The counters are deterministic for a fixed grid and chunk size,
-//! so the committed snapshot (`BENCH_0007.json` at the repository root)
+//! so the committed snapshot (`BENCH_0008.json` at the repository root)
 //! byte-diffs across machines; wall-clock is recorded for humans and always
 //! excluded from comparison.
 //!
@@ -24,8 +24,8 @@
 //! counters are pinned by `--check` like every other block.
 //!
 //! ```text
-//! bench-snapshot --quick --out BENCH_0007.json   # (re)write the snapshot
-//! bench-snapshot --quick --check BENCH_0007.json # CI: fail on counter drift
+//! bench-snapshot --quick --out BENCH_0008.json   # (re)write the snapshot
+//! bench-snapshot --quick --check BENCH_0008.json # CI: fail on counter drift
 //! ```
 
 use std::process::ExitCode;
@@ -432,7 +432,7 @@ fn usage() -> ! {
         "usage: bench-snapshot [--quick] [--out PATH | --check PATH]\n\
          \n\
          --quick       run the quick (CI) figure presets [default; the only preset]\n\
-         --out PATH    write the snapshot to PATH (default BENCH_0007.json)\n\
+         --out PATH    write the snapshot to PATH (default BENCH_0008.json)\n\
          --check PATH  re-measure and fail when any deterministic counter\n\
                        differs from the committed snapshot at PATH\n\
                        (wall_seconds is informational and never compared)"
@@ -523,7 +523,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let path = out_path.unwrap_or_else(|| "BENCH_0007.json".to_owned());
+    let path = out_path.unwrap_or_else(|| "BENCH_0008.json".to_owned());
     if let Err(err) = std::fs::write(&path, snapshot_json(&measured, &store)) {
         eprintln!("cannot write {path}: {err}");
         return ExitCode::FAILURE;

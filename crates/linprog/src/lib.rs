@@ -10,7 +10,11 @@
 //! The solver is a dense tableau two-phase simplex with Bland's rule as an
 //! anti-cycling fallback. Problem sizes in this workspace are small
 //! (≲ a few hundred rows/columns), for which a dense tableau is simple and
-//! entirely adequate.
+//! entirely adequate. The tableau is stored flat and row-major, and a pivot
+//! updates the other rows only at the nonzero columns of the pivot row.
+//! That sparse update performs exactly the arithmetic of the plain dense
+//! one, so pivot sequences, pivot counts and solution bits are unchanged by
+//! it.
 //!
 //! # Example
 //!

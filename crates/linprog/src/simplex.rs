@@ -5,6 +5,27 @@
 //! variables and adding slack, surplus and artificial columns, then runs the
 //! classic two-phase tableau method. Dantzig's rule is used for speed with a
 //! switch to Bland's rule after a pivot budget to guarantee termination.
+//!
+//! The tableau is one flat row-major `Vec<f64>` with stride
+//! `total_cols + 1` (the right-hand side closes each row), built in place.
+//! Two things keep an iteration cheap on the sparse rows the MINLP node
+//! relaxations produce:
+//!
+//! - reduced costs are accumulated row by row into a reused buffer, and
+//!   rows whose basic cost is zero are skipped;
+//! - a pivot normalizes the pivot row once, records its nonzero columns and
+//!   updates every other row at those columns only.
+//!
+//! **Bit-identity contract.** Both are reorderings that leave every
+//! floating-point operation that produces a nonzero value unchanged: each
+//! reduced cost still receives its terms in increasing row order (Rust never
+//! fuses a multiply-add), and a skipped pivot-row zero would only have
+//! subtracted `factor · 0`, which can change nothing but the sign of a zero
+//! that no comparison reads. The right-hand side is always updated, so the
+//! solution values keep even the sign of their zeros. Pivot sequences,
+//! pivot counts and every value are therefore those of a plain dense
+//! tableau, and the branch-and-bound node counts and golden sweep outputs
+//! built on them do not move; unit tests pin them bit for bit.
 
 use crate::model::{LpProblem, Relation, Sense};
 use crate::solution::{LpSolution, SolverStatus};
@@ -177,10 +198,26 @@ fn push_coeff(coeffs: &mut Vec<(usize, f64)>, col: usize, a: f64) {
     }
 }
 
-/// Dense tableau with an explicit basis.
+/// Orientation of a standard-form row in the tableau: rows with a negative
+/// right-hand side are negated (`sign = −1`), which swaps `≤` and `≥`.
+fn orient(row: &StdRow) -> (f64, Relation) {
+    if row.rhs < 0.0 {
+        let relation = match row.relation {
+            Relation::LessEq => Relation::GreaterEq,
+            Relation::GreaterEq => Relation::LessEq,
+            Relation::Equal => Relation::Equal,
+        };
+        (-1.0, relation)
+    } else {
+        (1.0, row.relation)
+    }
+}
+
+/// Dense tableau with an explicit basis, stored flat and row-major.
 struct Tableau {
-    /// `rows × (total_cols + 1)`; last column is the right-hand side.
-    data: Vec<Vec<f64>>,
+    /// `rows × (total_cols + 1)` entries; the last entry of each row is its
+    /// right-hand side.
+    data: Vec<f64>,
     /// Basic column index per row.
     basis: Vec<usize>,
     total_cols: usize,
@@ -189,29 +226,54 @@ struct Tableau {
     pivots: usize,
     /// Hard pivot budget (both phases combined).
     max_pivots: usize,
+    /// Reduced costs of the current iteration (reused buffer).
+    reduced: Vec<f64>,
+    /// Columns of the last pivot row that are updated in the other rows:
+    /// its nonzero entries plus the right-hand side (reused buffer).
+    pivot_cols: Vec<usize>,
 }
 
 impl Tableau {
-    fn rhs(&self, row: usize) -> f64 {
-        self.data[row][self.total_cols]
+    fn width(&self) -> usize {
+        self.total_cols + 1
     }
 
+    fn at(&self, row: usize, col: usize) -> f64 {
+        self.data[row * self.width() + col]
+    }
+
+    fn rhs(&self, row: usize) -> f64 {
+        self.at(row, self.total_cols)
+    }
+
+    /// Pivots on `(row, col)`. Entries of the normalized pivot row that are
+    /// exactly zero would only subtract `factor · 0` from the other rows,
+    /// which leaves every value unchanged (at most the sign of a zero), so
+    /// they are skipped. The right-hand side is always updated: it is what
+    /// the solution is read from, and so keeps the dense update's bits.
     fn pivot(&mut self, row: usize, col: usize) {
-        let pivot_val = self.data[row][col];
-        let width = self.total_cols + 1;
-        for j in 0..width {
-            self.data[row][j] /= pivot_val;
-        }
-        for r in 0..self.data.len() {
-            if r == row {
-                continue;
+        let width = self.width();
+        let rhs_col = self.total_cols;
+        let (before, rest) = self.data.split_at_mut(row * width);
+        let (pivot_row, after) = rest.split_at_mut(width);
+        let pivot_val = pivot_row[col];
+        self.pivot_cols.clear();
+        for (j, a) in pivot_row.iter_mut().enumerate() {
+            *a /= pivot_val;
+            if *a != 0.0 || j == rhs_col {
+                self.pivot_cols.push(j);
             }
-            let factor = self.data[r][col];
+        }
+        for other in before
+            .chunks_exact_mut(width)
+            .chain(after.chunks_exact_mut(width))
+        {
+            let factor = other[col];
             if factor.abs() < EPS {
                 continue;
             }
-            for j in 0..width {
-                self.data[r][j] -= factor * self.data[row][j];
+            for &j in &self.pivot_cols {
+                other[j] -= factor * pivot_row[j];
             }
         }
         self.basis[row] = col;
@@ -227,19 +289,19 @@ impl Tableau {
                     pivots: self.pivots,
                 });
             }
-            let reduced = self.reduced_costs(costs);
+            self.update_reduced_costs(costs);
             let use_bland = self.pivots >= DANTZIG_PIVOTS;
-            let entering = self.pick_entering(&reduced, forbid_artificial, use_bland);
+            let entering = self.pick_entering(forbid_artificial, use_bland);
             let Some(col) = entering else {
                 return Ok(Some(()));
             };
             // Ratio test.
             let mut best_row: Option<usize> = None;
             let mut best_ratio = f64::INFINITY;
-            for r in 0..self.data.len() {
-                let a = self.data[r][col];
+            for (r, row) in self.data.chunks_exact(self.width()).enumerate() {
+                let a = row[col];
                 if a > EPS {
-                    let ratio = self.rhs(r) / a;
+                    let ratio = row[self.total_cols] / a;
                     let better = match best_row {
                         None => true,
                         Some(br) => {
@@ -261,52 +323,39 @@ impl Tableau {
         }
     }
 
-    fn reduced_costs(&self, costs: &[f64]) -> Vec<f64> {
-        // reduced_j = c_j − c_Bᵀ B⁻¹ A_j; with a full tableau, B⁻¹A_j is just
-        // the current column, and c_B are costs of basic columns.
-        let m = self.data.len();
-        let mut reduced = vec![0.0; self.total_cols];
-        for (j, red) in reduced.iter_mut().enumerate() {
-            let mut acc = costs[j];
-            for r in 0..m {
-                let cb = costs[self.basis[r]];
-                if cb != 0.0 {
-                    acc -= cb * self.data[r][j];
-                }
+    /// Fills `self.reduced` with `c_j − c_Bᵀ B⁻¹ A_j`. With a full tableau,
+    /// `B⁻¹A_j` is just the current column and `c_B` are the costs of the
+    /// basic columns. Rows are walked outermost, so every entry still
+    /// receives its terms in increasing row order.
+    fn update_reduced_costs(&mut self, costs: &[f64]) {
+        let width = self.width();
+        self.reduced.clear();
+        self.reduced.extend_from_slice(costs);
+        for (row, &basic) in self.data.chunks_exact(width).zip(&self.basis) {
+            let cb = costs[basic];
+            if cb == 0.0 {
+                continue;
             }
-            *red = acc;
+            for (red, &a) in self.reduced.iter_mut().zip(row) {
+                *red -= cb * a;
+            }
         }
-        reduced
     }
 
-    fn pick_entering(
-        &self,
-        reduced: &[f64],
-        forbid_artificial: bool,
-        use_bland: bool,
-    ) -> Option<usize> {
+    fn pick_entering(&self, forbid_artificial: bool, use_bland: bool) -> Option<usize> {
+        let mut candidates = self
+            .reduced
+            .iter()
+            .enumerate()
+            .filter(|&(j, &rc)| !(forbid_artificial && self.artificial[j]) && rc < -EPS);
         if use_bland {
-            for (j, &rc) in reduced.iter().enumerate() {
-                if forbid_artificial && self.artificial[j] {
-                    continue;
-                }
-                if rc < -EPS {
-                    return Some(j);
-                }
-            }
-            None
+            candidates.next().map(|(j, _)| j)
         } else {
             let mut best: Option<(usize, f64)> = None;
-            for (j, &rc) in reduced.iter().enumerate() {
-                if forbid_artificial && self.artificial[j] {
-                    continue;
-                }
-                if rc < -EPS {
-                    match best {
-                        None => best = Some((j, rc)),
-                        Some((_, b)) if rc < b => best = Some((j, rc)),
-                        _ => {}
-                    }
+            for (j, &rc) in candidates {
+                match best {
+                    Some((_, b)) if rc >= b => {}
+                    _ => best = Some((j, rc)),
                 }
             }
             best.map(|(j, _)| j)
@@ -322,103 +371,77 @@ pub(crate) fn solve(problem: &LpProblem, options: &SimplexOptions) -> Result<LpS
     let m = std_form.rows.len();
 
     if m == 0 {
-        return solve_unconstrained(problem, &std_form);
+        return solve_unconstrained(problem);
     }
 
-    // Column layout: [structural | slack/surplus | artificial].
-    let mut num_slack = 0usize;
-    for row in &std_form.rows {
-        // A slack/surplus column is needed unless the row is an equality.
-        let rhs_nonneg = row.rhs >= 0.0;
-        match (row.relation, rhs_nonneg) {
-            (Relation::Equal, _) => {}
-            _ => num_slack += 1,
-        }
-    }
-    let total_cols_estimate = n + num_slack + m;
+    // Column layout: [structural | slack/surplus | artificial]. Every
+    // inequality gets a slack or surplus column; every row that is `≥` or
+    // `=` once oriented gets an artificial column.
+    let num_slack = std_form
+        .rows
+        .iter()
+        .filter(|row| row.relation != Relation::Equal)
+        .count();
+    let num_artificial = std_form
+        .rows
+        .iter()
+        .filter(|row| orient(row).1 != Relation::LessEq)
+        .count();
+    let total_cols = n + num_slack + num_artificial;
+    let width = total_cols + 1;
 
-    let mut data: Vec<Vec<f64>> = Vec::with_capacity(m);
+    let mut data = vec![0.0; m * width];
     let mut basis: Vec<usize> = vec![usize::MAX; m];
-    let mut artificial_flags = vec![false; total_cols_estimate];
+    let mut artificial = vec![false; total_cols];
     let mut next_slack = n;
     let mut next_artificial = n + num_slack;
-    let mut artificial_used = 0usize;
 
-    for (r, row) in std_form.rows.iter().enumerate() {
-        let mut dense = vec![0.0; total_cols_estimate + 1];
-        let mut sign = 1.0;
-        let mut relation = row.relation;
-        let mut rhs = row.rhs;
-        if rhs < 0.0 {
-            sign = -1.0;
-            rhs = -rhs;
-            relation = match relation {
-                Relation::LessEq => Relation::GreaterEq,
-                Relation::GreaterEq => Relation::LessEq,
-                Relation::Equal => Relation::Equal,
-            };
-        }
+    for ((row, dense), basic) in std_form
+        .rows
+        .iter()
+        .zip(data.chunks_exact_mut(width))
+        .zip(&mut basis)
+    {
+        let (sign, relation) = orient(row);
         for &(j, a) in &row.coeffs {
             dense[j] += sign * a;
         }
-        dense[total_cols_estimate] = rhs;
-        match relation {
-            Relation::LessEq => {
-                let s = next_slack;
-                next_slack += 1;
-                dense[s] = 1.0;
-                basis[r] = s;
-            }
-            Relation::GreaterEq => {
-                let s = next_slack;
-                next_slack += 1;
-                dense[s] = -1.0;
-                let a = next_artificial;
-                next_artificial += 1;
-                artificial_used += 1;
-                dense[a] = 1.0;
-                artificial_flags[a] = true;
-                basis[r] = a;
-            }
-            Relation::Equal => {
-                let a = next_artificial;
-                next_artificial += 1;
-                artificial_used += 1;
-                dense[a] = 1.0;
-                artificial_flags[a] = true;
-                basis[r] = a;
-            }
+        dense[total_cols] = sign * row.rhs;
+        if relation != Relation::Equal {
+            dense[next_slack] = if relation == Relation::LessEq {
+                1.0
+            } else {
+                -1.0
+            };
+            *basic = next_slack;
+            next_slack += 1;
         }
-        data.push(dense);
+        if relation != Relation::LessEq {
+            dense[next_artificial] = 1.0;
+            artificial[next_artificial] = true;
+            *basic = next_artificial;
+            next_artificial += 1;
+        }
     }
-
-    // Trim unused artificial columns (keep indexing consistent by only
-    // trimming the tail, which is always the unused part).
-    let total_cols = n + (next_slack - n) + artificial_used;
-    for row in &mut data {
-        let rhs = row[total_cols_estimate];
-        row.truncate(total_cols);
-        row.push(rhs);
-    }
-    artificial_flags.truncate(total_cols);
 
     let mut tableau = Tableau {
         data,
         basis,
         total_cols,
-        artificial: artificial_flags,
+        artificial,
         pivots: 0,
         max_pivots: options.max_pivots,
+        reduced: Vec::with_capacity(total_cols),
+        pivot_cols: Vec::with_capacity(width),
     };
 
     // Phase 1: minimize the sum of artificial variables.
-    if artificial_used > 0 {
-        let mut phase1_costs = vec![0.0; total_cols];
-        for (j, flag) in tableau.artificial.iter().enumerate() {
-            if *flag {
-                phase1_costs[j] = 1.0;
-            }
-        }
+    if num_artificial > 0 {
+        let phase1_costs: Vec<f64> = tableau
+            .artificial
+            .iter()
+            .map(|&flag| if flag { 1.0 } else { 0.0 })
+            .collect();
         let outcome = tableau.optimize(&phase1_costs, false)?;
         if outcome.is_none() {
             // Phase 1 objective is bounded below by zero, so this cannot
@@ -450,8 +473,8 @@ pub(crate) fn solve(problem: &LpProblem, options: &SimplexOptions) -> Result<LpS
         // Drive remaining artificial variables out of the basis when possible.
         for r in 0..m {
             if tableau.artificial[tableau.basis[r]] {
-                let col = (0..n + (next_slack - n))
-                    .find(|&j| tableau.data[r][j].abs() > 1e-7 && !tableau.artificial[j]);
+                let col = (0..n + num_slack)
+                    .find(|&j| tableau.at(r, j).abs() > 1e-7 && !tableau.artificial[j]);
                 if let Some(col) = col {
                     tableau.pivot(r, col);
                 }
@@ -500,11 +523,7 @@ pub(crate) fn solve(problem: &LpProblem, options: &SimplexOptions) -> Result<LpS
 
 /// Handles the degenerate case of a problem with no constraint rows: each
 /// variable independently moves to whichever bound its cost prefers.
-fn solve_unconstrained(
-    problem: &LpProblem,
-    std_form: &StandardForm,
-) -> Result<LpSolution, LpError> {
-    let _ = std_form;
+fn solve_unconstrained(problem: &LpProblem) -> Result<LpSolution, LpError> {
     let sign = match problem.sense() {
         Sense::Minimize => 1.0,
         Sense::Maximize => -1.0,
@@ -798,5 +817,39 @@ mod tests {
         let s = lp.solve().unwrap();
         assert!(s.is_optimal());
         assert!(lp.is_feasible(s.values(), 1e-6).unwrap());
+        // Bit-level pin: every pivot's arithmetic is part of the contract,
+        // so the pivot count and the bits of the objective and values are
+        // those the dense nested-row tableau produced.
+        assert_eq!(s.pivots(), 2);
+        assert_eq!(s.objective().to_bits(), 22.0f64.to_bits());
+        let bits: Vec<u64> = s.values().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(bits, [0.0f64, 8.0, 4.0].map(f64::to_bits));
+    }
+
+    #[test]
+    fn redundant_equalities_keep_an_artificial_basic() {
+        // min x + 3y s.t. x + y = 2, 2x + 2y = 4 (redundant), x + y >= 2.
+        // Phase 1 ends with the redundant row's artificial basic at zero
+        // and no column to drive it out on, and drives the `≥` row's
+        // artificial out by pivoting on its surplus column (element −1).
+        let mut lp = LpProblem::new(Sense::Minimize);
+        let x = lp.add_var("x", 0.0, f64::INFINITY).unwrap();
+        let y = lp.add_var("y", 0.0, f64::INFINITY).unwrap();
+        lp.set_objective_coefficient(x, 1.0).unwrap();
+        lp.set_objective_coefficient(y, 3.0).unwrap();
+        lp.add_constraint("sum", &[(x, 1.0), (y, 1.0)], Relation::Equal, 2.0)
+            .unwrap();
+        lp.add_constraint("twice", &[(x, 2.0), (y, 2.0)], Relation::Equal, 4.0)
+            .unwrap();
+        lp.add_constraint("floor", &[(x, 1.0), (y, 1.0)], Relation::GreaterEq, 2.0)
+            .unwrap();
+        let s = lp.solve().unwrap();
+        assert!(s.is_optimal());
+        assert!(lp.is_feasible(s.values(), 1e-9).unwrap());
+        assert_eq!(s.objective().to_bits(), 2.0f64.to_bits());
+        assert_eq!(s.value(x).to_bits(), 2.0f64.to_bits());
+        assert_eq!(s.value(y).to_bits(), 0.0f64.to_bits());
+        // One phase-1 pivot plus the drive-out pivot; phase 2 is optimal.
+        assert_eq!(s.pivots(), 2);
     }
 }

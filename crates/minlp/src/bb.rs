@@ -757,6 +757,24 @@ mod tests {
         );
     }
 
+    /// Pins the cold search bit for bit: every node LP's pivot sequence
+    /// feeds the node count and the incumbent, so a change in the simplex
+    /// arithmetic fails here before it reaches a golden diff. The values
+    /// are those the dense nested-row tableau produced.
+    #[test]
+    fn six_kernel_search_is_pinned_bit_for_bit() {
+        let (p, vars) = six_kernel_problem();
+        let sol = p.solve().unwrap();
+        assert_eq!(sol.status(), MinlpStatus::Optimal);
+        assert_eq!(sol.simplex_pivots(), 3611);
+        assert_eq!(sol.nodes_explored(), 18);
+        assert_eq!(sol.lp_solves(), 98);
+        assert_eq!(sol.objective().to_bits(), 8.5f64.to_bits());
+        let bits: Vec<u64> = vars.iter().map(|&v| sol.value(v).to_bits()).collect();
+        let expected = [8.5f64, 1.0, 2.0, 2.0, 2.0, 2.0, 2.0].map(f64::to_bits);
+        assert_eq!(bits, expected);
+    }
+
     #[test]
     fn infeasible_seed_is_ignored() {
         let (mut p, _) = six_kernel_problem();
