@@ -9,16 +9,15 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use mfa_alloc::cases::PaperCase;
 use mfa_alloc::exact::ExactMode;
-use mfa_alloc::explore::constraint_grid;
 use mfa_alloc::gpa::GpaOptions;
 use mfa_alloc::solver::{Backend, SolveRequest};
 use mfa_bench::{compare_methods, print_comparison, MinlpBudget};
-use mfa_explore::{run_sweep, CaseSpec, ExecutorOptions, SolverSpec, SweepGrid};
+use mfa_explore::{constraint_grid, run_sweep, CaseSpec, ExecutorOptions, SolverSpec, SweepGrid};
 
 fn print_fig3() {
     let case = PaperCase::Alex16OnTwoFpgas;
     let problem = case.problem(0.70).expect("feasible");
-    let constraints = constraint_grid(0.55, 0.85, 7);
+    let constraints = constraint_grid(0.55, 0.85, 7).expect("valid grid");
     let rows = compare_methods(&problem, &constraints, MinlpBudget::alexnet());
     print_comparison(
         "Fig. 3: Alex-16 on 2 FPGAs — II vs resource constraint / average resource",
@@ -32,7 +31,7 @@ fn fig3_gpa_grid() -> SweepGrid {
     SweepGrid::builder()
         .case(CaseSpec::from_paper(PaperCase::Alex16OnTwoFpgas))
         .fpga_counts([2])
-        .constraints(constraint_grid(0.55, 0.85, 7))
+        .constraints(constraint_grid(0.55, 0.85, 7).expect("valid grid"))
         .backend(SolverSpec::gpa(GpaOptions::fast()))
         .backend(SolverSpec::gpa_labeled(
             "GP+A/gp",

@@ -8,14 +8,14 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use mfa_alloc::cases::PaperCase;
-use mfa_alloc::explore::constraint_grid;
 use mfa_alloc::solver::{Backend, SolveRequest};
 use mfa_bench::{compare_methods, print_comparison, MinlpBudget};
+use mfa_explore::constraint_grid;
 
 fn print_fig4() {
     let case = PaperCase::Alex32OnFourFpgas;
     let problem = case.problem(0.70).expect("feasible");
-    let constraints = constraint_grid(0.65, 0.75, 3);
+    let constraints = constraint_grid(0.65, 0.75, 3).expect("valid grid");
     let rows = compare_methods(&problem, &constraints, MinlpBudget::alexnet());
     print_comparison(
         "Fig. 4: Alex-32 on 4 FPGAs — II vs resource constraint / average resource",

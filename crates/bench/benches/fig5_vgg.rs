@@ -11,14 +11,14 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use mfa_alloc::cases::PaperCase;
-use mfa_alloc::explore::constraint_grid;
 use mfa_alloc::solver::{Backend, SolveRequest};
 use mfa_bench::{compare_methods, print_comparison, MinlpBudget};
+use mfa_explore::constraint_grid;
 
 fn print_fig5() {
     let case = PaperCase::VggOnEightFpgas;
     let problem = case.problem(0.61).expect("feasible");
-    let constraints = constraint_grid(0.55, 0.80, 6);
+    let constraints = constraint_grid(0.55, 0.80, 6).expect("valid grid");
     let rows = compare_methods(&problem, &constraints, MinlpBudget::vgg());
     print_comparison(
         "Fig. 5: VGG on 8 FPGAs — II vs resource constraint / average resource",

@@ -10,10 +10,11 @@
 #![warn(missing_docs)]
 
 use mfa_alloc::exact::{ExactMode, ExactOptions};
-use mfa_alloc::explore::SweepPoint;
 use mfa_alloc::gpa::GpaOptions;
 use mfa_alloc::AllocationProblem;
-use mfa_explore::{run_sweep, CaseSpec, ExecutorOptions, SolverSpec, SweepGrid, SweepSeries};
+use mfa_explore::{
+    run_sweep, CaseSpec, ExecutorOptions, SolverSpec, SweepGrid, SweepPoint, SweepSeries,
+};
 
 /// Node/time budget applied to MINLP solves inside benchmark sweeps.
 ///

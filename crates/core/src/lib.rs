@@ -60,7 +60,6 @@ pub mod cases;
 pub mod discretize;
 mod error;
 pub mod exact;
-pub mod explore;
 pub mod fingerprint;
 pub mod gp_step;
 pub mod gpa;

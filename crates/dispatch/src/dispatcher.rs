@@ -30,7 +30,8 @@ use std::time::{Duration, Instant};
 
 use mfa_explore::store::{commit_unit, plan_store, ResultStore, StorePlan};
 use mfa_explore::{
-    assemble_series, plan_units, StoreRunReport, SweepGrid, SweepPoint, SweepSeries, UnitOutput,
+    assemble_series, plan_units, wire, StoreRunReport, SweepGrid, SweepPoint, SweepSeries,
+    UnitOutput,
 };
 
 use crate::protocol::{FromWorker, ToWorker, PROTOCOL_VERSION};
@@ -307,19 +308,17 @@ fn run_sharded_impl(
         return Ok((assemble_series(grid, &units, completed), report));
     }
 
-    let mut job_line = ToWorker::Job {
+    let job = ToWorker::Job {
         protocol: PROTOCOL_VERSION,
         warm_start: options.warm_start,
         grid: grid.clone(),
-    }
-    .encode()?;
-    job_line.push('\n');
+    };
 
     let (tx, rx) = mpsc::channel::<(usize, Event)>();
     let mut conns: Vec<Option<Connection>> = Vec::with_capacity(workers.len());
     let mut states: Vec<WorkerState> = Vec::with_capacity(workers.len());
     for (id, spec) in workers.iter().enumerate() {
-        let conn = open_worker(spec, id, &job_line, tx.clone())?;
+        let conn = open_worker(spec, id, &job, tx.clone())?;
         conns.push(Some(conn));
         states.push(WorkerState {
             alive: true,
@@ -406,18 +405,20 @@ fn run_sharded_impl(
                         .map(|p| p.units[uid].seeds.clone())
                         .unwrap_or_default(),
                 };
-                let mut line = frame.encode()?;
-                line.push('\n');
                 let conn = conns[wid].as_mut().expect("alive workers have connections");
-                if conn.writer.write_all(line.as_bytes()).is_err() || conn.writer.flush().is_err() {
-                    // Put the unit straight back and bury the worker.
-                    attempts[uid] -= 1;
-                    let pos = pending.partition_point(|&u| u < uid);
-                    pending.insert(pos, uid);
-                    failed.push(wid);
-                    continue 'run;
+                match wire::write_frame(&mut conn.writer, &frame) {
+                    Ok(()) => states[wid].leases.push((uid, Instant::now())),
+                    // An unencodable unit is no worker's fault.
+                    Err(err @ DispatchError::Wire(_)) => return Err(err),
+                    Err(_) => {
+                        // Put the unit straight back and bury the worker.
+                        attempts[uid] -= 1;
+                        let pos = pending.partition_point(|&u| u < uid);
+                        pending.insert(pos, uid);
+                        failed.push(wid);
+                        continue 'run;
+                    }
                 }
-                states[wid].leases.push((uid, Instant::now()));
             }
         }
 
@@ -582,7 +583,7 @@ fn run_sharded_impl(
 fn open_worker(
     spec: &WorkerSpec,
     id: usize,
-    job_line: &str,
+    job: &ToWorker,
     tx: mpsc::Sender<(usize, Event)>,
 ) -> Result<Connection, DispatchError> {
     type Transport = (
@@ -627,10 +628,12 @@ fn open_worker(
 
     // The job frame goes out before the reader thread starts, so a spawn
     // failure surfaces here rather than as a mysterious early EOF.
-    writer
-        .write_all(job_line.as_bytes())
-        .and_then(|()| writer.flush())
-        .map_err(|err| DispatchError::Io(format!("sending job to worker {id}: {err}")))?;
+    wire::write_frame(&mut writer, job).map_err(|err| match err {
+        DispatchError::Io(message) => {
+            DispatchError::Io(format!("sending job to worker {id}: {message}"))
+        }
+        other => other,
+    })?;
 
     thread::spawn(move || {
         let mut lines = BufReader::new(reader).lines();
@@ -671,14 +674,10 @@ fn open_worker(
 
 /// Sends `shutdown` to every live worker and reaps the children.
 fn shutdown_workers(conns: &mut [Option<Connection>], states: &mut [WorkerState]) {
-    let goodbye = ToWorker::Shutdown
-        .encode()
-        .expect("shutdown frame has no payload");
     for (conn, state) in conns.iter_mut().zip(states.iter_mut()) {
         if let Some(conn) = conn.as_mut() {
             if state.alive {
-                let _ = conn.writer.write_all(format!("{goodbye}\n").as_bytes());
-                let _ = conn.writer.flush();
+                let _ = wire::write_frame::<DispatchError>(&mut conn.writer, &ToWorker::Shutdown);
             }
         }
         if let Some(mut conn) = conn.take() {

@@ -140,6 +140,12 @@ impl From<WireError> for DispatchError {
     }
 }
 
+impl From<std::io::Error> for DispatchError {
+    fn from(err: std::io::Error) -> Self {
+        DispatchError::Io(err.to_string())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -18,7 +18,12 @@
 //! * [`serve`] — the worker loop; the `sweep-worker` binary wraps it for
 //!   stdio and TCP operation.
 //! * [`protocol`] — the JSON-lines frame protocol, built on
-//!   [`mfa_explore::wire`]'s exact-round-trip codec.
+//!   [`mfa_explore::wire`]'s frame layer and exact-round-trip codec.
+//! * [`daemon`] — the daemon skeleton (accept loop, bounded line reader
+//!   with read timeout and pending-reply hold-off, shared writer, stop
+//!   signal) the allocation daemon and the store-server run on. It lives
+//!   here, next to the [`protocol::PROTOCOL_VERSION`] every daemon speaks,
+//!   because this is the lowest crate both depend on.
 //! * [`FaultPlan`] — deterministic fault injection (crash mid-sweep,
 //!   truncated frames) used by the integration tests to prove the
 //!   reassignment paths preserve output bytes.
@@ -42,6 +47,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod daemon;
 mod dispatcher;
 mod error;
 pub mod protocol;

@@ -1,7 +1,8 @@
 //! The JSON-lines wire protocol between the dispatcher and its workers.
 //!
 //! Every frame is one compact JSON object on one `\n`-terminated line, with
-//! a `"type"` tag. The payload codecs come from [`mfa_explore::wire`], so
+//! a `"type"` tag. The framing ([`wire::Frame`], [`wire::write_frame`]), the field
+//! readers and the payload codecs all come from [`mfa_explore::wire`], so
 //! every float crossing the boundary round-trips bit-for-bit and NaNs are
 //! rejected at the edge.
 //!
@@ -23,7 +24,9 @@
 
 use mfa_alloc::solver::WarmStart;
 use mfa_explore::json::Json;
-use mfa_explore::wire::{self, WireError};
+use mfa_explore::wire::{
+    self, arr_field, bool_field, field, parse_line, str_field, type_tag, usize_field, WireError,
+};
 use mfa_platform::ResourceBudget;
 
 use mfa_explore::{SweepGrid, SweepPoint, WorkUnit};
@@ -137,29 +140,17 @@ impl ToWorker {
     /// Returns [`WireError`] on malformed JSON, unknown frame types, or
     /// invalid payloads.
     pub fn decode(line: &str) -> Result<ToWorker, WireError> {
-        let doc = Json::parse(line).map_err(|err| WireError::Parse(err.to_string()))?;
+        let doc = parse_line(line)?;
         match type_tag(&doc)? {
             "job" => Ok(ToWorker::Job {
                 protocol: usize_field(&doc, "protocol")?,
-                warm_start: doc
-                    .get("warm_start")
-                    .and_then(Json::as_bool)
-                    .ok_or_else(|| WireError::Schema("job frame needs 'warm_start'".into()))?,
-                grid: wire::grid_from_json(
-                    doc.get("grid")
-                        .ok_or_else(|| WireError::Schema("job frame needs 'grid'".into()))?,
-                )?,
+                warm_start: bool_field(&doc, "warm_start")?,
+                grid: wire::grid_from_json(field(&doc, "grid")?)?,
             }),
             "unit" => Ok(ToWorker::Unit {
                 id: usize_field(&doc, "id")?,
-                unit: wire::unit_from_json(
-                    doc.get("unit")
-                        .ok_or_else(|| WireError::Schema("unit frame needs 'unit'".into()))?,
-                )?,
-                seeds: seeds_from_json(
-                    doc.get("seeds")
-                        .ok_or_else(|| WireError::Schema("unit frame needs 'seeds'".into()))?,
-                )?,
+                unit: wire::unit_from_json(field(&doc, "unit")?)?,
+                seeds: seeds_from_json(arr_field(&doc, "seeds")?)?,
             }),
             "shutdown" => Ok(ToWorker::Shutdown),
             other => Err(WireError::Schema(format!(
@@ -211,30 +202,20 @@ impl FromWorker {
     /// invalid payloads — the dispatcher treats any of these as a worker
     /// fault and reassigns the worker's leases.
     pub fn decode(line: &str) -> Result<FromWorker, WireError> {
-        let doc = Json::parse(line).map_err(|err| WireError::Parse(err.to_string()))?;
+        let doc = parse_line(line)?;
         match type_tag(&doc)? {
             "ready" => Ok(FromWorker::Ready {
                 protocol: usize_field(&doc, "protocol")?,
             }),
             "result" => Ok(FromWorker::Result {
                 id: usize_field(&doc, "id")?,
-                points: wire::points_from_json(
-                    doc.get("points")
-                        .ok_or_else(|| WireError::Schema("result frame needs 'points'".into()))?,
-                )?,
-                warms: warms_from_json(
-                    doc.get("warms")
-                        .ok_or_else(|| WireError::Schema("result frame needs 'warms'".into()))?,
-                )?,
+                points: wire::points_from_json(field(&doc, "points")?)?,
+                warms: warms_from_json(arr_field(&doc, "warms")?)?,
                 warm_from_store: usize_field(&doc, "warm_from_store")?,
             }),
             "solver_error" => Ok(FromWorker::SolverError {
                 id: usize_field(&doc, "id")?,
-                message: doc
-                    .get("message")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| WireError::Schema("solver_error frame needs 'message'".into()))?
-                    .to_owned(),
+                message: str_field(&doc, "message")?.to_owned(),
             }),
             other => Err(WireError::Schema(format!(
                 "unknown worker frame type '{other}'"
@@ -257,20 +238,12 @@ fn seeds_to_json(seeds: &[(ResourceBudget, WarmStart)]) -> Result<Json, WireErro
     ))
 }
 
-fn seeds_from_json(value: &Json) -> Result<Vec<(ResourceBudget, WarmStart)>, WireError> {
-    value
-        .as_arr()
-        .ok_or_else(|| WireError::Schema("'seeds' must be an array".into()))?
+fn seeds_from_json(items: &[Json]) -> Result<Vec<(ResourceBudget, WarmStart)>, WireError> {
+    items
         .iter()
         .map(|item| {
-            let budget = wire::budget_from_json(
-                item.get("budget")
-                    .ok_or_else(|| WireError::Schema("seed needs 'budget'".into()))?,
-            )?;
-            let warm = wire::warm_hint_from_json(
-                item.get("warm")
-                    .ok_or_else(|| WireError::Schema("seed needs 'warm'".into()))?,
-            )?;
+            let budget = wire::budget_from_json(field(item, "budget")?)?;
+            let warm = wire::warm_hint_from_json(field(item, "warm")?)?;
             Ok((budget, warm))
         })
         .collect()
@@ -288,10 +261,8 @@ fn warms_to_json(warms: &[Option<WarmStart>]) -> Result<Json, WireError> {
     ))
 }
 
-fn warms_from_json(value: &Json) -> Result<Vec<Option<WarmStart>>, WireError> {
-    value
-        .as_arr()
-        .ok_or_else(|| WireError::Schema("'warms' must be an array".into()))?
+fn warms_from_json(items: &[Json]) -> Result<Vec<Option<WarmStart>>, WireError> {
+    items
         .iter()
         .map(|item| match item {
             Json::Null => Ok(None),
@@ -300,17 +271,7 @@ fn warms_from_json(value: &Json) -> Result<Vec<Option<WarmStart>>, WireError> {
         .collect()
 }
 
-fn type_tag(doc: &Json) -> Result<&str, WireError> {
-    doc.get("type")
-        .and_then(Json::as_str)
-        .ok_or_else(|| WireError::Schema("frame needs a string 'type' tag".into()))
-}
-
-fn usize_field(doc: &Json, key: &str) -> Result<usize, WireError> {
-    doc.get(key)
-        .and_then(Json::as_usize)
-        .ok_or_else(|| WireError::Schema(format!("frame field '{key}' must be an integer")))
-}
+mfa_explore::impl_frame!(ToWorker, FromWorker);
 
 #[cfg(test)]
 mod tests {

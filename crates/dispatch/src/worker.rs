@@ -18,7 +18,7 @@
 
 use std::io::{BufRead, Write};
 
-use mfa_explore::{compute_unit_hinted, ExploreError, SweepGrid, DEFAULT_CACHE_CAPACITY};
+use mfa_explore::{compute_unit_hinted, wire, ExploreError, SweepGrid, DEFAULT_CACHE_CAPACITY};
 
 use crate::protocol::{FromWorker, ToWorker, PROTOCOL_VERSION};
 use crate::DispatchError;
@@ -84,7 +84,7 @@ pub fn serve(
                         "received a second job frame mid-session".into(),
                     ));
                 }
-                send(
+                wire::write_frame::<DispatchError>(
                     &mut writer,
                     &FromWorker::Ready {
                         protocol: PROTOCOL_VERSION,
@@ -142,24 +142,13 @@ pub fn serve(
                     },
                     Err(err) => return Err(DispatchError::Explore(err)),
                 };
-                send(&mut writer, &reply)?;
+                wire::write_frame::<DispatchError>(&mut writer, &reply)?;
                 results_sent += 1;
             }
             ToWorker::Shutdown => break,
         }
     }
     Ok(results_sent)
-}
-
-fn send(writer: &mut impl Write, frame: &FromWorker) -> Result<(), DispatchError> {
-    let mut line = frame
-        .encode()
-        .map_err(|err| DispatchError::Protocol(format!("unencodable worker frame: {err}")))?;
-    line.push('\n');
-    writer
-        .write_all(line.as_bytes())
-        .and_then(|()| writer.flush())
-        .map_err(|err| DispatchError::Io(err.to_string()))
 }
 
 #[cfg(test)]

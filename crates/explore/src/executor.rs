@@ -7,8 +7,9 @@ use std::thread;
 
 use serde::{Deserialize, Serialize};
 
-use mfa_alloc::explore::SweepPoint;
-use mfa_alloc::solver::{Deadline, SolveRequest, WarmStart};
+use mfa_alloc::solver::{Deadline, SolveReport, SolveRequest, WarmStart, WarmStartReport};
+use mfa_alloc::AllocationProblem;
+use mfa_platform::ResourceBudget;
 
 use crate::cache::{WarmStartCache, DEFAULT_CACHE_CAPACITY};
 use crate::grid::{SolverSpec, SweepGrid};
@@ -32,8 +33,8 @@ pub struct ExecutorOptions {
     /// initiation interval as cold solves, faster; when several integer
     /// designs tie on II, the warm-started search may return the
     /// neighbour's design where a cold solve would find another
-    /// equally-optimal one. Disable for bit-identical agreement with the
-    /// cold serial sweeps in [`mfa_alloc::explore`].
+    /// equally-optimal one. Disable for bit-identical agreement with a
+    /// cold per-point [`SolveRequest::solve_point`] loop.
     pub warm_start: bool,
     /// Entry bound of each unit's [`WarmStartCache`]. Eviction is FIFO and
     /// depends only on the insertion sequence, so any bound preserves the
@@ -64,10 +65,87 @@ impl ExecutorOptions {
     }
 }
 
+/// One point of a resource-constraint sweep: the classic metrics plus the
+/// additive solve diagnostics carried by every [`SolveReport`].
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct SweepPoint {
+    /// Scalar key of the budget point: the uniform fraction on the classic
+    /// constraint axis, or the largest per-class fraction for a per-resource
+    /// budget point.
+    pub resource_constraint: f64,
+    /// The full per-FPGA budget the point was solved under (independent
+    /// LUT/FF/BRAM/DSP fractions plus the bandwidth cap).
+    pub budget: ResourceBudget,
+    /// Achieved initiation interval in milliseconds.
+    pub initiation_interval_ms: f64,
+    /// Average per-FPGA utilization of the critical resource.
+    pub average_utilization: f64,
+    /// Global spreading of the allocation.
+    pub spreading: f64,
+    /// Wall-clock solve time in seconds.
+    pub solve_seconds: f64,
+    /// Relative gap between the achieved II and the solve's lower bound
+    /// (continuous relaxation for the heuristics, proven bound for the
+    /// exact backend); zero when the backend reported none.
+    pub relaxation_gap: f64,
+    /// Branch-and-bound nodes visited (discretization for GP+A, MINLP tree
+    /// for the exact backend).
+    pub bb_nodes: usize,
+    /// Interior-point barrier iterations of the GP relaxation (zero for
+    /// bisection-only and exact solves).
+    pub barrier_iterations: usize,
+    /// KKT factorization attempts of the GP relaxation, full refactorizations
+    /// and diagonal refreshes alike (zero for bisection-only and exact
+    /// solves).
+    pub factorizations: usize,
+    /// Simplex pivots spent in the LP substrate (water-filling probes for the
+    /// heuristics, node LPs for the exact MINLP).
+    pub simplex_pivots: usize,
+    /// Total CUs shed by the feasibility fallback.
+    pub dropped_cus: u32,
+    /// CUs newly configured relative to the reallocation incumbent (zero
+    /// for static solves without a reallocation spec).
+    pub moved_cus: u32,
+    /// Unweighted priced movement `Σ_g c_g · moved_g` against the incumbent
+    /// (zero for static solves).
+    pub migration_cost: f64,
+    /// Which warm-start hints the solve actually consumed.
+    pub warm_start: WarmStartReport,
+}
+
+impl SweepPoint {
+    /// Builds a sweep point from a solved report's metrics and diagnostics;
+    /// the budget record comes from the problem instance itself.
+    pub fn from_report(
+        problem: &AllocationProblem,
+        resource_constraint: f64,
+        report: &SolveReport,
+    ) -> Self {
+        let metrics = report.allocation.metrics(problem);
+        SweepPoint {
+            resource_constraint,
+            budget: *problem.budget(),
+            initiation_interval_ms: metrics.initiation_interval_ms,
+            average_utilization: metrics.average_utilization,
+            spreading: metrics.spreading,
+            solve_seconds: report.diagnostics.timing.total.as_secs_f64(),
+            relaxation_gap: report.diagnostics.relaxation_gap.unwrap_or(0.0),
+            bb_nodes: report.diagnostics.bb_nodes,
+            barrier_iterations: report.diagnostics.barrier_iterations,
+            factorizations: report.diagnostics.factorizations,
+            simplex_pivots: report.diagnostics.simplex_pivots,
+            dropped_cus: report.diagnostics.total_dropped_cus(),
+            moved_cus: report.diagnostics.moved_cus,
+            migration_cost: report.diagnostics.migration_cost,
+            warm_start: report.diagnostics.warm_start,
+        }
+    }
+}
+
 /// One series of a completed sweep: a (case, platform point, backend)
 /// combination and its points in budget-axis order. Points whose budget is
-/// infeasible or unplaceable are absent, exactly as in
-/// [`mfa_alloc::explore::sweep_gpa`].
+/// infeasible or unplaceable are absent, exactly as the paper's figures omit
+/// them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepSeries {
     /// Label of the swept case.
@@ -211,7 +289,7 @@ pub fn zero_chunk_diagnostics(series: &mut [SweepSeries]) {
 /// backend). The output is deterministic: for a fixed grid and `chunk_size`
 /// it is identical whatever the thread count. With
 /// [`ExecutorOptions::warm_start`] disabled it is additionally bit-identical
-/// to the serial sweeps in [`mfa_alloc::explore`] modulo the wall-clock
+/// to a cold per-point [`SolveRequest::solve_point`] loop modulo the wall-clock
 /// timing fields; with warm starts on, ties between equally-optimal integer
 /// designs may resolve differently (the achieved II is the same either way).
 ///
@@ -445,8 +523,8 @@ type UnitResult = Result<Vec<Option<SweepPoint>>, ExploreError>;
 /// Solves one [`WorkUnit`]: the unit's budget points in axis order, each
 /// GP+A solve warm-started from the nearest (in budget distance)
 /// already-solved point of the same unit. `None` entries are skippable
-/// points (infeasible or unplaceable budgets), exactly as in
-/// [`mfa_alloc::explore::sweep_gpa`].
+/// points (infeasible or unplaceable budgets), which the assembled
+/// [`SweepSeries`] omit.
 ///
 /// The result is a pure function of the arguments — the warm-start cache is
 /// created fresh per unit — so a unit computes identically whether it runs
@@ -736,7 +814,18 @@ mod tests {
         )
         .unwrap();
         let problem = PaperCase::Alex16OnTwoFpgas.problem(0.70).unwrap();
-        let core = mfa_alloc::explore::sweep_gpa(&problem, &constraints, &options).unwrap();
+        // The reference: each point solved on its own, cold, serially.
+        let core: Vec<SweepPoint> = constraints
+            .iter()
+            .filter_map(|&constraint| {
+                let instance = problem.with_resource_constraint(constraint);
+                SolveRequest::new(&instance)
+                    .backend(mfa_alloc::Backend::gpa_with(options.clone()))
+                    .solve_point()
+                    .unwrap()
+                    .map(|report| SweepPoint::from_report(&instance, constraint, &report))
+            })
+            .collect();
         assert_eq!(engine[0].points.len(), core.len());
         for (e, c) in engine[0].points.iter().zip(&core) {
             assert_eq!(e.resource_constraint, c.resource_constraint);

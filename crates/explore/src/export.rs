@@ -191,7 +191,7 @@ pub(crate) fn csv_field(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mfa_alloc::explore::SweepPoint;
+    use crate::SweepPoint;
     use mfa_alloc::solver::WarmStartReport;
 
     use mfa_platform::{ResourceBudget, ResourceVec};

@@ -484,9 +484,9 @@ impl SweepGridBuilder {
     }
 }
 
-/// `count` evenly spaced constraint values between `lo` and `hi` inclusive —
-/// the [`mfa_alloc::explore::constraint_grid`] shape, but degenerate inputs
-/// surface as [`ExploreError::InvalidGrid`] instead of a panic.
+/// `count` evenly spaced constraint values between `lo` and `hi` inclusive;
+/// degenerate inputs surface as [`ExploreError::InvalidGrid`] instead of a
+/// panic.
 ///
 /// # Errors
 ///
@@ -648,9 +648,13 @@ mod tests {
 
     #[test]
     fn constraint_grid_matches_the_core_shape() {
+        // Inclusive of both ends and evenly spaced: lo + (hi - lo)·i/(n - 1).
         let ours = constraint_grid(0.5, 0.9, 5).unwrap();
-        let core = mfa_alloc::explore::constraint_grid(0.5, 0.9, 5);
+        let core: Vec<f64> = (0..5).map(|i| 0.5 + 0.4 * i as f64 / 4.0).collect();
         assert_eq!(ours, core);
+        assert_eq!(ours[0], 0.5);
+        assert!((ours[2] - 0.7).abs() < 1e-12);
+        assert!((ours[4] - 0.9).abs() < 1e-12);
     }
 
     #[test]

@@ -30,11 +30,13 @@
 //! * [`validate`] — cross-checks a sample of swept designs against the
 //!   [`mfa_sim`] discrete-event simulator.
 //!
-//! The single-threaded sweep functions in [`mfa_alloc::explore`] remain the
-//! stable minimal API; both they and this engine drive one
-//! [`mfa_alloc::solver::SolveRequest`] per point — same backends, same
-//! [`mfa_alloc::solver::SkipPolicy`] — so both produce identical series for
-//! identical inputs. The grid carries the request riders: a
+//! This is the workspace's one sweep engine. Every point is one
+//! [`mfa_alloc::solver::SolveRequest`] — the same backends and
+//! [`mfa_alloc::solver::SkipPolicy`] a caller solving the points one by one
+//! would use — so a cold sweep matches a per-point
+//! [`SolveRequest::solve_point`](mfa_alloc::solver::SolveRequest::solve_point)
+//! loop, and each [`SweepPoint`] is built from the point's report by
+//! [`SweepPoint::from_report`]. The grid carries the request riders: a
 //! [`SweepGridBuilder::skip_policy`] (strict sweeps treat unplaceable points
 //! and missed deadlines as errors) and a
 //! [`SweepGridBuilder::point_deadline_seconds`] wall-clock cap per point.
@@ -79,7 +81,8 @@ pub use cache::{budget_distance, WarmStartCache, DEFAULT_CACHE_CAPACITY};
 pub use error::ExploreError;
 pub use executor::{
     assemble_series, compute_unit, compute_unit_hinted, plan_units, run_sweep, run_sweep_stored,
-    zero_chunk_diagnostics, zero_timing, ExecutorOptions, SweepSeries, UnitOutput, WorkUnit,
+    zero_chunk_diagnostics, zero_timing, ExecutorOptions, SweepPoint, SweepSeries, UnitOutput,
+    WorkUnit,
 };
 pub use figures::FigureSpec;
 pub use frontier::{frontier_to_csv, frontier_to_json, run_frontier, FrontierPoint, FrontierSpec};
@@ -89,6 +92,3 @@ pub use grid::{
 pub use store::{
     GcReport, ResultStore, StoreEntry, StoreRunReport, StoreStats, SweepStore, STORE_VERSION,
 };
-
-// The point type is shared with the serial sweeps in `mfa_alloc::explore`.
-pub use mfa_alloc::explore::SweepPoint;

@@ -51,12 +51,11 @@ use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use mfa_alloc::explore::SweepPoint;
 use mfa_alloc::fingerprint::Fingerprint;
 use mfa_alloc::solver::WarmStart;
 use mfa_platform::ResourceBudget;
 
-use crate::executor::{UnitOutput, WorkUnit};
+use crate::executor::{SweepPoint, UnitOutput, WorkUnit};
 use crate::grid::SweepGrid;
 use crate::json::Json;
 use crate::wire::{self, WireError};
@@ -520,8 +519,7 @@ pub fn entry_to_json(fp: &Fingerprint, entry: &StoreEntry) -> Result<Json, Explo
 /// Decodes one store line. `Ok(None)` is a version mismatch; `Err` is
 /// corruption. Both are misses for the caller.
 fn decode_entry(line: &str) -> Result<Option<(Fingerprint, StoreEntry)>, WireError> {
-    let doc = Json::parse(line).map_err(|e| WireError::Parse(e.to_string()))?;
-    entry_from_json(&doc)
+    entry_from_json(&wire::parse_line(line)?)
 }
 
 /// Decodes one store-entry document (the inverse of [`entry_to_json`]).
@@ -532,37 +530,22 @@ fn decode_entry(line: &str) -> Result<Option<(Fingerprint, StoreEntry)>, WireErr
 ///
 /// Returns [`WireError`] when the document does not match the entry schema.
 pub fn entry_from_json(doc: &Json) -> Result<Option<(Fingerprint, StoreEntry)>, WireError> {
-    let version = doc
-        .get("v")
-        .and_then(Json::as_usize)
-        .ok_or_else(|| WireError::Schema("missing store version".into()))?;
-    if version != STORE_VERSION {
+    if wire::usize_field(doc, "v")? != STORE_VERSION {
         return Ok(None);
     }
     let parse_fp = |key: &str| -> Result<Fingerprint, WireError> {
-        doc.get(key)
-            .and_then(Json::as_str)
-            .ok_or_else(|| WireError::Schema(format!("field '{key}' must be a string")))?
+        wire::str_field(doc, key)?
             .parse()
             .map_err(|_| WireError::Invalid(format!("field '{key}' is not a fingerprint")))
     };
     let fp = parse_fp("fp")?;
     let series = parse_fp("series")?;
-    let budget = wire::budget_from_json(
-        doc.get("budget")
-            .ok_or_else(|| WireError::Schema("missing field 'budget'".into()))?,
-    )?;
-    let point = match doc
-        .get("point")
-        .ok_or_else(|| WireError::Schema("missing field 'point'".into()))?
-    {
+    let budget = wire::budget_from_json(wire::field(doc, "budget")?)?;
+    let point = match wire::field(doc, "point")? {
         Json::Null => None,
         other => Some(wire::point_from_json(other)?),
     };
-    let warm = match doc
-        .get("warm")
-        .ok_or_else(|| WireError::Schema("missing field 'warm'".into()))?
-    {
+    let warm = match wire::field(doc, "warm")? {
         Json::Null => WarmStart::none(),
         other => wire::warm_hint_from_json(other)?,
     };

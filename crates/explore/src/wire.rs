@@ -1,4 +1,5 @@
-//! Wire codec for the multi-process sweep dispatcher.
+//! The workspace's one wire layer: the JSON payload codec and the line
+//! framing every protocol shares.
 //!
 //! Encodes every type that crosses a process boundary — the full
 //! [`SweepGrid`] (cases, platforms, budgets, solver backends), [`WorkUnit`]s
@@ -20,12 +21,21 @@
 //! friends) are what the dispatcher protocol embeds into its JSON-lines
 //! frames; the `*_to_json`/`*_from_json` pairs are exposed for composing
 //! larger documents.
+//!
+//! Framing lives here too, so the three frame families — dispatcher ↔
+//! worker (`mfa_dispatch::protocol`), client ↔ allocation daemon
+//! (`mfa_serve::protocol`) and client ↔ store-server
+//! (`mfa_storenet::protocol`) — build on one set of pieces: the [`Frame`]
+//! trait, [`write_frame`] (the only place a frame line is written),
+//! [`parse_line`], [`type_tag`], and the typed field readers ([`field`],
+//! [`usize_field`], [`f64_field`], [`str_field`], [`bool_field`],
+//! [`arr_field`]) with the encode-side finiteness guard [`num`].
 
 use std::fmt;
+use std::io::Write;
 
 use mfa_alloc::discretize::DiscretizeOptions;
 use mfa_alloc::exact::{ExactMode, ExactOptions};
-use mfa_alloc::explore::SweepPoint;
 use mfa_alloc::gp_step::RelaxationBackend;
 use mfa_alloc::gpa::GpaOptions;
 use mfa_alloc::greedy::GreedyOptions;
@@ -34,7 +44,7 @@ use mfa_alloc::{AllocationProblem, GoalWeights, Kernel};
 use mfa_minlp::SolverOptions;
 use mfa_platform::{DeviceGroup, FpgaDevice, HeterogeneousPlatform, ResourceBudget, ResourceVec};
 
-use crate::executor::WorkUnit;
+use crate::executor::{SweepPoint, WorkUnit};
 use crate::grid::{BudgetSpec, CaseSpec, PlatformSpec, SolverSpec, SweepGrid};
 use crate::json::Json;
 
@@ -73,46 +83,110 @@ impl fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 // ---------------------------------------------------------------------------
-// Decode helpers.
+// Frames: one JSON document per `\n`-terminated line.
 
-fn field<'a>(value: &'a Json, key: &str) -> Result<&'a Json, WireError> {
+/// A message of one of the workspace's JSON-lines protocols: one compact
+/// JSON object with a `"type"` tag, sent as one line by [`write_frame`].
+pub trait Frame: Sized {
+    /// Encodes the frame as one JSON line (no trailing newline); fails with
+    /// [`WireError::NonFinite`] on a NaN/infinite float.
+    fn encode(&self) -> Result<String, WireError>;
+
+    /// Decodes one line; any malformed input is a [`WireError`], never a
+    /// panic.
+    fn decode(line: &str) -> Result<Self, WireError>;
+}
+
+/// Implements [`Frame`] for frame types by delegating to their inherent
+/// `encode`/`decode` methods of the same shape.
+#[macro_export]
+macro_rules! impl_frame {
+    ($($frame:ty),+) => {$(
+        impl $crate::wire::Frame for $frame {
+            fn encode(&self) -> Result<String, $crate::wire::WireError> {
+                <$frame>::encode(self)
+            }
+
+            fn decode(line: &str) -> Result<Self, $crate::wire::WireError> {
+                <$frame>::decode(line)
+            }
+        }
+    )+};
+}
+
+/// Writes `frame` as one `\n`-terminated line and flushes it. Fails, in the
+/// caller's error type, when the frame does not encode (nothing is written)
+/// or the transport fails.
+pub fn write_frame<E>(writer: &mut impl Write, frame: &impl Frame) -> Result<(), E>
+where
+    E: From<WireError> + From<std::io::Error>,
+{
+    let mut line = frame.encode()?;
+    line.push('\n');
+    writer.write_all(line.as_bytes())?;
+    writer.flush()?;
+    Ok(())
+}
+
+/// Parses one line into its JSON document ([`WireError::Parse`] if it is
+/// not JSON).
+pub fn parse_line(line: &str) -> Result<Json, WireError> {
+    Json::parse(line).map_err(|err| WireError::Parse(err.to_string()))
+}
+
+/// The `"type"` tag of a frame document.
+pub fn type_tag(doc: &Json) -> Result<&str, WireError> {
+    str_field(doc, "type")
+}
+
+// ---------------------------------------------------------------------------
+// Field readers: a missing or mistyped field is a `WireError::Schema`.
+
+/// The field `key` of an object.
+pub fn field<'a>(value: &'a Json, key: &str) -> Result<&'a Json, WireError> {
     value
         .get(key)
         .ok_or_else(|| WireError::Schema(format!("missing field '{key}'")))
 }
 
-fn f64_field(value: &Json, key: &str) -> Result<f64, WireError> {
+/// The number field `key` of an object.
+pub fn f64_field(value: &Json, key: &str) -> Result<f64, WireError> {
     field(value, key)?
         .as_f64()
         .ok_or_else(|| WireError::Schema(format!("field '{key}' must be a number")))
 }
 
-fn usize_field(value: &Json, key: &str) -> Result<usize, WireError> {
+/// The nonnegative-integer field `key` of an object.
+pub fn usize_field(value: &Json, key: &str) -> Result<usize, WireError> {
     field(value, key)?
         .as_usize()
         .ok_or_else(|| WireError::Schema(format!("field '{key}' must be a nonnegative integer")))
 }
 
-fn str_field<'a>(value: &'a Json, key: &str) -> Result<&'a str, WireError> {
+/// The string field `key` of an object.
+pub fn str_field<'a>(value: &'a Json, key: &str) -> Result<&'a str, WireError> {
     field(value, key)?
         .as_str()
         .ok_or_else(|| WireError::Schema(format!("field '{key}' must be a string")))
 }
 
-fn bool_field(value: &Json, key: &str) -> Result<bool, WireError> {
+/// The boolean field `key` of an object.
+pub fn bool_field(value: &Json, key: &str) -> Result<bool, WireError> {
     field(value, key)?
         .as_bool()
         .ok_or_else(|| WireError::Schema(format!("field '{key}' must be a boolean")))
 }
 
-fn arr_field<'a>(value: &'a Json, key: &str) -> Result<&'a [Json], WireError> {
+/// The array field `key` of an object.
+pub fn arr_field<'a>(value: &'a Json, key: &str) -> Result<&'a [Json], WireError> {
     field(value, key)?
         .as_arr()
         .ok_or_else(|| WireError::Schema(format!("field '{key}' must be an array")))
 }
 
-/// Encode-side guard: every float put on the wire must be finite.
-fn num(name: &'static str, value: f64) -> Result<Json, WireError> {
+/// Encode-side guard: every float put on the wire must be finite
+/// ([`WireError::NonFinite`] naming `name` otherwise).
+pub fn num(name: &'static str, value: f64) -> Result<Json, WireError> {
     if value.is_finite() {
         Ok(Json::Num(value))
     } else {
@@ -1018,8 +1092,7 @@ pub fn encode_grid(grid: &SweepGrid) -> Result<String, WireError> {
 /// Returns [`WireError::Parse`] on malformed JSON, otherwise see
 /// [`grid_from_json`].
 pub fn decode_grid(input: &str) -> Result<SweepGrid, WireError> {
-    let doc = Json::parse(input).map_err(|err| WireError::Parse(err.to_string()))?;
-    grid_from_json(&doc)
+    grid_from_json(&parse_line(input)?)
 }
 
 /// Encodes a work unit as a compact single-line JSON string.
@@ -1034,8 +1107,7 @@ pub fn encode_unit(unit: &WorkUnit) -> String {
 /// Returns [`WireError::Parse`] on malformed JSON, otherwise see
 /// [`unit_from_json`].
 pub fn decode_unit(input: &str) -> Result<WorkUnit, WireError> {
-    let doc = Json::parse(input).map_err(|err| WireError::Parse(err.to_string()))?;
-    unit_from_json(&doc)
+    unit_from_json(&parse_line(input)?)
 }
 
 /// Encodes a unit result as a compact single-line JSON string.
@@ -1054,8 +1126,7 @@ pub fn encode_points(points: &[Option<SweepPoint>]) -> Result<String, WireError>
 /// Returns [`WireError::Parse`] on malformed JSON, otherwise see
 /// [`points_from_json`].
 pub fn decode_points(input: &str) -> Result<Vec<Option<SweepPoint>>, WireError> {
-    let doc = Json::parse(input).map_err(|err| WireError::Parse(err.to_string()))?;
-    points_from_json(&doc)
+    points_from_json(&parse_line(input)?)
 }
 
 #[cfg(test)]

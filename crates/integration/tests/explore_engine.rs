@@ -1,8 +1,11 @@
-//! Acceptance tests of the parallel exploration engine (`mfa_explore`)
-//! against the single-threaded sweeps in `mfa_alloc::explore`:
+//! Acceptance tests of the exploration engine (`mfa_explore`) against a
+//! reference that solves each point on its own:
 //!
-//! * engine output (serial and parallel, warm-started or not) must match the
-//!   core sweeps on the paper's Alex-16 and VGG cases, ordering included;
+//! * cold engine output must match a per-point
+//!   [`SolveRequest::solve_point`] loop on the paper's Alex-16 and VGG
+//!   cases, ordering included;
+//! * skipped points are absent, not fatal, for both heuristic and exact
+//!   backends;
 //! * the parallel executor must return byte-identical series to the serial
 //!   path;
 //! * on a multi-core host, sweeping a Fig. 3-sized grid in parallel must not
@@ -13,11 +16,58 @@ use std::time::Instant;
 
 use mfa_alloc::cases::PaperCase;
 use mfa_alloc::exact::ExactOptions;
-use mfa_alloc::explore as core_explore;
 use mfa_alloc::gpa::GpaOptions;
+use mfa_alloc::greedy::GreedyOptions;
+use mfa_alloc::solver::{Backend, SolveRequest};
+use mfa_alloc::AllocationProblem;
 use mfa_explore::{
-    constraint_grid, run_sweep, CaseSpec, ExecutorOptions, SolverSpec, SweepGrid, SweepSeries,
+    constraint_grid, run_sweep, CaseSpec, ExecutorOptions, SolverSpec, SweepGrid, SweepPoint,
+    SweepSeries,
 };
+
+/// The reference sweep: every constraint solved on its own, cold and
+/// serially, with the request's default (lenient) skip policy; skipped
+/// points are absent.
+fn reference_sweep(
+    problem: &AllocationProblem,
+    constraints: &[f64],
+    backend: &Backend,
+) -> Vec<SweepPoint> {
+    constraints
+        .iter()
+        .filter_map(|&constraint| {
+            let instance = problem.with_resource_constraint(constraint);
+            SolveRequest::new(&instance)
+                .backend(backend.clone())
+                .solve_point()
+                .expect("no non-skippable solver failure")
+                .map(|report| SweepPoint::from_report(&instance, constraint, &report))
+        })
+        .collect()
+}
+
+/// A cold, single-series engine sweep of one paper case.
+fn engine_sweep(
+    case: PaperCase,
+    fpgas: usize,
+    constraints: &[f64],
+    backend: SolverSpec,
+) -> Vec<SweepPoint> {
+    let grid = SweepGrid::builder()
+        .case(CaseSpec::from_paper(case))
+        .fpga_counts([fpgas])
+        .constraints(constraints.iter().copied())
+        .backend(backend)
+        .build()
+        .unwrap();
+    let options = ExecutorOptions {
+        warm_start: false,
+        ..ExecutorOptions::default()
+    };
+    let mut series = run_sweep(&grid, &options).unwrap();
+    assert_eq!(series.len(), 1);
+    series.remove(0).points
+}
 
 /// Wall-clock timing is the only field allowed to differ between runs.
 fn zero_timing(mut series: Vec<SweepSeries>) -> Vec<SweepSeries> {
@@ -68,7 +118,7 @@ fn engine_matches_core_sweep_gpa_on_alex16() {
     )
     .unwrap();
     let problem = PaperCase::Alex16OnTwoFpgas.problem(0.70).unwrap();
-    let core = core_explore::sweep_gpa(&problem, &constraints, &options).unwrap();
+    let core = reference_sweep(&problem, &constraints, &Backend::gpa_with(options));
     assert_points_match(&engine[0].points, &core, "Alex-16 GP+A");
 }
 
@@ -92,7 +142,7 @@ fn engine_matches_core_sweep_gpa_on_vgg() {
     )
     .unwrap();
     let problem = PaperCase::VggOnEightFpgas.problem(0.61).unwrap();
-    let core = core_explore::sweep_gpa(&problem, &constraints, &options).unwrap();
+    let core = reference_sweep(&problem, &constraints, &Backend::gpa_with(options));
     assert_points_match(&engine[0].points, &core, "VGG GP+A");
 }
 
@@ -109,8 +159,89 @@ fn engine_matches_core_sweep_exact_on_alex16() {
         .unwrap();
     let engine = run_sweep(&grid, &ExecutorOptions::default()).unwrap();
     let problem = PaperCase::Alex16OnTwoFpgas.problem(0.70).unwrap();
-    let core = core_explore::sweep_exact(&problem, &constraints, &options).unwrap();
+    let core = reference_sweep(&problem, &constraints, &Backend::exact_with(options));
     assert_points_match(&engine[0].points, &core, "Alex-16 MINLP");
+}
+
+#[test]
+fn gpa_sweep_is_monotone_in_the_constraint() {
+    let constraints = constraint_grid(0.55, 0.85, 4).unwrap();
+    let points = engine_sweep(
+        PaperCase::Alex16OnTwoFpgas,
+        2,
+        &constraints,
+        SolverSpec::gpa(GpaOptions::fast()),
+    );
+    assert!(points.len() >= 3);
+    // Looser constraints can only improve (not worsen) the II, up to the
+    // small non-monotonicities the greedy step may introduce.
+    let first = points.first().unwrap().initiation_interval_ms;
+    let last = points.last().unwrap().initiation_interval_ms;
+    assert!(last <= first + 1e-9);
+    for p in &points {
+        assert!(p.average_utilization > 0.0 && p.average_utilization <= 1.0);
+        assert!(p.solve_seconds >= 0.0);
+        // Warm starts are off: the diagnostics must say the solve was cold.
+        assert_eq!(p.warm_start.provenance(), "cold");
+        assert!(p.relaxation_gap >= 0.0);
+        assert!(p.bb_nodes >= 1);
+    }
+}
+
+#[test]
+fn t_sweep_produces_one_series_per_t() {
+    let backend = |t: f64| {
+        SolverSpec::gpa_labeled(
+            format!("GP+A T={t}"),
+            GpaOptions {
+                greedy: GreedyOptions::with_t_delta(t, 0.01),
+                ..GpaOptions::fast()
+            },
+        )
+    };
+    let grid = SweepGrid::builder()
+        .case(CaseSpec::from_paper(PaperCase::Alex16OnTwoFpgas))
+        .fpga_counts([2])
+        .constraints(constraint_grid(0.60, 0.80, 3).unwrap())
+        .backends([backend(0.0), backend(0.10)])
+        .build()
+        .unwrap();
+    let series = run_sweep(&grid, &ExecutorOptions::default()).unwrap();
+    assert_eq!(series.len(), 2);
+    assert_eq!(series[0].backend, "GP+A T=0");
+    assert_eq!(series[1].backend, "GP+A T=0.1");
+    // The paper observes little effect of T; check the curves stay close.
+    for (a, b) in series[0].points.iter().zip(&series[1].points) {
+        assert!((a.initiation_interval_ms - b.initiation_interval_ms).abs() < 0.5);
+    }
+}
+
+#[test]
+fn exact_sweep_skips_infeasible_points() {
+    // 8 % cannot host CONV1 (10.6 % BRAM per CU for Alex-16); 80 % can.
+    let points = engine_sweep(
+        PaperCase::Alex16OnTwoFpgas,
+        2,
+        &[0.08, 0.80],
+        SolverSpec::exact(ExactOptions::ii_only_with_budget(2_000, 10.0)),
+    );
+    assert_eq!(points.len(), 1);
+    assert!((points[0].resource_constraint - 0.80).abs() < 1e-12);
+    assert!(points[0].bb_nodes >= 1);
+    assert_eq!(points[0].dropped_cus, 0);
+}
+
+#[test]
+fn backend_sweeps_cover_the_greedy_fallback_too() {
+    // The engine's grid has no greedy axis; the per-point reference does,
+    // and `SweepPoint::from_report` must read a greedy report correctly.
+    let problem = PaperCase::Alex16OnTwoFpgas.problem(0.70).unwrap();
+    let points = reference_sweep(&problem, &[0.65, 0.80], &Backend::greedy());
+    assert_eq!(points.len(), 2);
+    for p in &points {
+        assert_eq!(p.bb_nodes, 0);
+        assert!(p.initiation_interval_ms > 0.0);
+    }
 }
 
 #[test]

@@ -1,9 +1,10 @@
 //! A blocking client of the allocation daemon.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 
 use mfa_alloc::AllocationProblem;
+use mfa_explore::wire;
 
 use crate::error::ServeError;
 use crate::protocol::{
@@ -144,11 +145,7 @@ impl ServeClient {
     }
 
     fn send(&mut self, frame: &ToServe) -> Result<(), ServeError> {
-        let line = frame.encode()?;
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
-        Ok(())
+        wire::write_frame(&mut self.writer, frame)
     }
 
     fn read_frame(&mut self) -> Result<FromServe, ServeError> {

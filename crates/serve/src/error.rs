@@ -1,7 +1,6 @@
 //! Error type of the allocation service.
 
 use std::fmt;
-use std::time::Duration;
 
 use mfa_explore::wire::WireError;
 
@@ -19,9 +18,6 @@ pub enum ServeError {
     /// The daemon reported a request-level failure (invalid deadline,
     /// non-skippable solver error). Carries the daemon's message verbatim.
     Server(String),
-    /// A connection produced no complete frame within the per-request read
-    /// timeout; the daemon dropped it to reclaim the reader thread.
-    ReadTimeout(Duration),
     /// The warm-cache spill backend could not be opened at startup.
     Spill(String),
 }
@@ -33,9 +29,6 @@ impl fmt::Display for ServeError {
             ServeError::Wire(err) => write!(f, "wire error: {err}"),
             ServeError::Protocol(msg) => write!(f, "protocol violation: {msg}"),
             ServeError::Server(msg) => write!(f, "server error: {msg}"),
-            ServeError::ReadTimeout(limit) => {
-                write!(f, "read timed out: no complete frame within {:.0?}", limit)
-            }
             ServeError::Spill(msg) => write!(f, "cannot open spill backend: {msg}"),
         }
     }
@@ -46,10 +39,7 @@ impl std::error::Error for ServeError {
         match self {
             ServeError::Io(err) => Some(err),
             ServeError::Wire(err) => Some(err),
-            ServeError::Protocol(_)
-            | ServeError::Server(_)
-            | ServeError::ReadTimeout(_)
-            | ServeError::Spill(_) => None,
+            ServeError::Protocol(_) | ServeError::Server(_) | ServeError::Spill(_) => None,
         }
     }
 }
@@ -81,9 +71,6 @@ mod tests {
         assert!(ServeError::Wire(WireError::NonFinite("ii_ms"))
             .to_string()
             .contains("ii_ms"));
-        assert!(ServeError::ReadTimeout(Duration::from_millis(250))
-            .to_string()
-            .contains("timed out"));
         assert!(ServeError::Spill("no such dir".into())
             .to_string()
             .contains("spill"));

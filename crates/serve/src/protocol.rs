@@ -5,9 +5,10 @@
 //! `"type"` tag, exactly like the sweep dispatcher's frames
 //! ([`mfa_dispatch::protocol`]); the two frame families share one version
 //! constant ([`PROTOCOL_VERSION`]) so any incompatible change to either is a
-//! single bump visible to every JSON-lines peer in the workspace. Payload
-//! codecs come from [`mfa_explore::wire`], so floats round-trip bit-for-bit
-//! and NaNs are rejected at the edge.
+//! single bump visible to every JSON-lines peer in the workspace. Framing
+//! ([`wire::Frame`], [`wire::write_frame`]), field readers and payload codecs come
+//! from [`mfa_explore::wire`], so floats round-trip bit-for-bit and NaNs are
+//! rejected at the edge.
 //!
 //! Session shape (the client is always the initiator):
 //!
@@ -32,7 +33,10 @@
 
 use mfa_alloc::AllocationProblem;
 use mfa_explore::json::Json;
-use mfa_explore::wire::{self, WireError};
+use mfa_explore::wire::{
+    self, bool_field, f64_field, field, num, parse_line, str_field, type_tag, usize_field,
+    WireError,
+};
 
 /// Solver backend selection carried by `solve` frames: the four entries of
 /// the built-in [`Backend`](mfa_alloc::Backend) registry, each with its
@@ -251,44 +255,6 @@ pub enum FromServe {
 /// documents the version history).
 pub use mfa_dispatch::protocol::PROTOCOL_VERSION;
 
-fn num(name: &'static str, value: f64) -> Result<Json, WireError> {
-    if value.is_finite() {
-        Ok(Json::Num(value))
-    } else {
-        Err(WireError::NonFinite(name))
-    }
-}
-
-fn type_tag(doc: &Json) -> Result<&str, WireError> {
-    doc.get("type")
-        .and_then(Json::as_str)
-        .ok_or_else(|| WireError::Schema("frame needs a string 'type' tag".into()))
-}
-
-fn usize_field(doc: &Json, key: &str) -> Result<usize, WireError> {
-    doc.get(key)
-        .and_then(Json::as_usize)
-        .ok_or_else(|| WireError::Schema(format!("frame field '{key}' must be an integer")))
-}
-
-fn f64_field(doc: &Json, key: &str) -> Result<f64, WireError> {
-    doc.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| WireError::Schema(format!("frame field '{key}' must be a number")))
-}
-
-fn str_field<'a>(doc: &'a Json, key: &str) -> Result<&'a str, WireError> {
-    doc.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| WireError::Schema(format!("frame field '{key}' must be a string")))
-}
-
-fn bool_field(doc: &Json, key: &str) -> Result<bool, WireError> {
-    doc.get(key)
-        .and_then(Json::as_bool)
-        .ok_or_else(|| WireError::Schema(format!("frame field '{key}' must be a boolean")))
-}
-
 fn outcome_to_json(outcome: &SolveOutcome) -> Result<Json, WireError> {
     let degraded_from = match &outcome.degraded_from {
         Some(label) => Json::str(label.as_str()),
@@ -322,10 +288,7 @@ fn outcome_to_json(outcome: &SolveOutcome) -> Result<Json, WireError> {
 }
 
 fn outcome_from_json(doc: &Json) -> Result<SolveOutcome, WireError> {
-    let degraded_from = match doc
-        .get("degraded_from")
-        .ok_or_else(|| WireError::Schema("outcome needs 'degraded_from'".into()))?
-    {
+    let degraded_from = match field(doc, "degraded_from")? {
         Json::Null => None,
         other => Some(
             other
@@ -336,10 +299,7 @@ fn outcome_from_json(doc: &Json) -> Result<SolveOutcome, WireError> {
                 .to_owned(),
         ),
     };
-    let cu_counts = doc
-        .get("cu_counts")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| WireError::Schema("outcome needs a 'cu_counts' array".into()))?
+    let cu_counts = wire::arr_field(doc, "cu_counts")?
         .iter()
         .map(|item| {
             let raw = item
@@ -417,7 +377,7 @@ impl ToServe {
     /// Returns [`WireError`] on malformed JSON, unknown frame types, or
     /// invalid payloads.
     pub fn decode(line: &str) -> Result<ToServe, WireError> {
-        let doc = Json::parse(line).map_err(|err| WireError::Parse(err.to_string()))?;
+        let doc = parse_line(line)?;
         match type_tag(&doc)? {
             "hello" => Ok(ToServe::Hello {
                 protocol: usize_field(&doc, "protocol")?,
@@ -427,9 +387,7 @@ impl ToServe {
                 let backend = BackendKind::from_wire_label(backend).ok_or_else(|| {
                     WireError::Schema(format!("unknown backend kind '{backend}'"))
                 })?;
-                let deadline_seconds = match doc.get("deadline_seconds").ok_or_else(|| {
-                    WireError::Schema("solve frame needs 'deadline_seconds'".into())
-                })? {
+                let deadline_seconds = match field(&doc, "deadline_seconds")? {
                     Json::Null => None,
                     other => Some(other.as_f64().ok_or_else(|| {
                         WireError::Schema("'deadline_seconds' must be a number or null".into())
@@ -437,11 +395,7 @@ impl ToServe {
                 };
                 Ok(ToServe::Solve {
                     id: usize_field(&doc, "id")?,
-                    problem: wire::problem_from_json(
-                        doc.get("problem").ok_or_else(|| {
-                            WireError::Schema("solve frame needs 'problem'".into())
-                        })?,
-                    )?,
+                    problem: wire::problem_from_json(field(&doc, "problem")?)?,
                     backend,
                     deadline_seconds,
                     warm: bool_field(&doc, "warm")?,
@@ -522,17 +476,14 @@ impl FromServe {
     /// Returns [`WireError`] on malformed JSON, unknown frame types, or
     /// invalid payloads — a client treats any of these as a broken session.
     pub fn decode(line: &str) -> Result<FromServe, WireError> {
-        let doc = Json::parse(line).map_err(|err| WireError::Parse(err.to_string()))?;
+        let doc = parse_line(line)?;
         match type_tag(&doc)? {
             "ready" => Ok(FromServe::Ready {
                 protocol: usize_field(&doc, "protocol")?,
             }),
             "report" => Ok(FromServe::Report {
                 id: usize_field(&doc, "id")?,
-                outcome: outcome_from_json(
-                    doc.get("outcome")
-                        .ok_or_else(|| WireError::Schema("report frame needs 'outcome'".into()))?,
-                )?,
+                outcome: outcome_from_json(field(&doc, "outcome")?)?,
             }),
             "rejected" => Ok(FromServe::Rejected {
                 id: usize_field(&doc, "id")?,
@@ -569,6 +520,8 @@ impl FromServe {
         }
     }
 }
+
+mfa_explore::impl_frame!(ToServe, FromServe);
 
 #[cfg(test)]
 mod tests {

@@ -1,16 +1,24 @@
-//! The allocation daemon: accept loop, bounded admission queue, solver
+//! The allocation daemon: frame dispatch, bounded admission queue, solver
 //! worker pool, and the deadline-aware degradation policy.
+//!
+//! The sockets are not handled here: the accept loop, the per-connection
+//! reader (frame length cap, read timeout, pending-reply hold-off), the
+//! shared writer and the stop signal are the daemon skeleton in
+//! [`mfa_dispatch::daemon`], shared with the store-server, and the frame
+//! codec is [`mfa_explore::wire`]'s. This module is the skeleton's
+//! [`Handler`] for [`ToServe`] requests.
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::net::SocketAddr;
+use std::ops::ControlFlow;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use mfa_alloc::solver::{Backend, Deadline, SkipPolicy, SolveRequest, WarmStart};
 use mfa_alloc::{AllocError, AllocationProblem};
+use mfa_dispatch::daemon::{Conn, Daemon, Handler, LineFault, StopSignal};
 
 use crate::cache::{family_fingerprint, ServeCache};
 use crate::error::ServeError;
@@ -92,16 +100,6 @@ pub struct ServeStats {
     pub read_timeouts: usize,
 }
 
-/// One client connection's state, shared between its reader thread and the
-/// solver workers answering its jobs.
-struct Conn {
-    writer: Mutex<TcpStream>,
-    /// Admitted requests whose reply has not been written yet. While this is
-    /// non-zero the client is legitimately blocked waiting on the daemon, so
-    /// the reader's idle timeout must not drop the connection under it.
-    pending: AtomicUsize,
-}
-
 /// One admitted request waiting for a solver worker.
 struct Job {
     id: usize,
@@ -113,9 +111,9 @@ struct Job {
     conn: Arc<Conn>,
 }
 
-/// State shared by the accept loop, connection readers, and solver workers.
+/// State shared by the connection readers and the solver workers.
 struct Shared {
-    stop: AtomicBool,
+    stop: StopSignal,
     options: ServeOptions,
     queue: Mutex<VecDeque<Job>>,
     queue_cv: Condvar,
@@ -135,9 +133,8 @@ struct Shared {
 /// them down and joins them. Each client connection is served by its own
 /// reader thread, which exits when the client disconnects.
 pub struct ServeHandle {
-    addr: SocketAddr,
+    daemon: Daemon,
     shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -148,8 +145,6 @@ impl ServeHandle {
     ///
     /// Returns [`ServeError::Io`] when the address cannot be bound.
     pub fn spawn(addr: &str, options: ServeOptions) -> Result<ServeHandle, ServeError> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
         let cache = match &options.spill {
             Some(spec) => ServeCache::with_spill(
                 options.family_capacity,
@@ -159,7 +154,7 @@ impl ServeHandle {
             None => ServeCache::new(options.family_capacity, options.budget_capacity),
         };
         let shared = Arc::new(Shared {
-            stop: AtomicBool::new(false),
+            stop: StopSignal::default(),
             cache: Mutex::new(cache),
             options,
             queue: Mutex::new(VecDeque::new()),
@@ -171,34 +166,35 @@ impl ServeHandle {
             decode_errors: AtomicUsize::new(0),
             read_timeouts: AtomicUsize::new(0),
         });
+        let daemon = Daemon::spawn(
+            addr,
+            Arc::clone(&shared),
+            shared.stop.clone(),
+            shared.options.read_timeout,
+        )?;
         let workers = (0..shared.options.workers)
             .map(|_| {
                 let shared = Arc::clone(&shared);
                 std::thread::spawn(move || worker_loop(&shared))
             })
             .collect();
-        let accept = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || accept_loop(&listener, &shared))
-        };
         Ok(ServeHandle {
-            addr: local,
+            daemon,
             shared,
-            accept: Some(accept),
             workers,
         })
     }
 
     /// The bound address (with `:0` resolved to the actual port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.daemon.local_addr()
     }
 
     /// `true` once the daemon has been asked to stop (by a client's
     /// shutdown frame or a concurrent [`stop`](Self::stop)); the `serve`
     /// binary polls this to know when to exit.
     pub fn is_stopped(&self) -> bool {
-        self.shared.stop.load(Ordering::SeqCst)
+        self.shared.stop.is_raised()
     }
 
     /// A snapshot of the daemon's counters.
@@ -222,15 +218,10 @@ impl ServeHandle {
     /// Stops the daemon: wakes the accept loop and the workers, then joins
     /// them. Jobs still queued are dropped unanswered; connection reader
     /// threads exit when their clients disconnect.
-    pub fn stop(mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        self.shared.queue_cv.notify_all();
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        for worker in self.workers.drain(..) {
+    pub fn stop(self) {
+        self.daemon.stop();
+        self.shared.wake_workers();
+        for worker in self.workers {
             let _ = worker.join();
         }
     }
@@ -277,160 +268,74 @@ fn stats_report(shared: &Shared) -> StatsReport {
     }
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    for stream in listener.incoming() {
-        if shared.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        match stream {
-            Ok(stream) => {
-                let _ = stream.set_nodelay(true);
-                let shared = Arc::clone(shared);
-                // Reader threads are not joined: they exit at client EOF.
-                std::thread::spawn(move || connection_loop(stream, &shared));
-            }
-            Err(err) => {
-                eprintln!("serve: accept failed: {err}");
-            }
-        }
+impl Shared {
+    /// Wakes every idle solver worker so it sees the raised stop signal.
+    /// The queue lock is taken first, so a worker between its stop check
+    /// and its wait cannot miss the notification.
+    fn wake_workers(&self) {
+        let _queue = self.queue.lock().expect("queue mutex poisoned");
+        self.queue_cv.notify_all();
     }
 }
 
-/// Serves one client connection: decodes frames, answers the handshake,
-/// admits solve requests into the bounded queue, and honours shutdown.
-fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
-    let conn = match stream.try_clone() {
-        Ok(clone) => Arc::new(Conn {
-            writer: Mutex::new(clone),
-            pending: AtomicUsize::new(0),
-        }),
-        Err(err) => {
-            eprintln!("serve: cannot clone connection: {err}");
-            return;
-        }
-    };
-    if let Err(err) = stream.set_read_timeout(shared.options.read_timeout) {
-        eprintln!("serve: cannot arm read timeout: {err}");
-        return;
-    }
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        line.clear();
-        // Read one complete frame, riding out timeout windows while this
-        // connection is owed a reply.
-        loop {
-            match reader.read_line(&mut line) {
-                Ok(0) => return,
-                Ok(_) => break,
-                // A timed-out read surfaces as WouldBlock or TimedOut
-                // depending on the platform.
-                Err(err)
-                    if matches!(
-                        err.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    if shared.stop.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    // A client blocked on its own solve reply (queue wait
-                    // plus solve can outlast any timeout window) is waiting
-                    // on us, not stalled: keep listening. Bytes of a partial
-                    // frame read so far stay accumulated in `line`.
-                    if conn.pending.load(Ordering::Acquire) > 0 {
-                        continue;
-                    }
-                    // No reply owed: the client stalled mid-frame (or went
-                    // silent) and the reader thread is reclaimed.
-                    shared.read_timeouts.fetch_add(1, Ordering::Relaxed);
-                    let limit = shared
-                        .options
-                        .read_timeout
-                        .expect("a read only times out when a timeout is armed");
-                    let _ = write_frame(
-                        &conn.writer,
-                        &FromServe::Error {
-                            id: 0,
-                            message: ServeError::ReadTimeout(limit).to_string(),
-                        },
-                    );
-                    return;
-                }
-                Err(err) => {
-                    eprintln!("serve: connection read failed: {err}");
-                    return;
-                }
+impl Handler for Shared {
+    type Request = ToServe;
+    type Reply = FromServe;
+    type Session = ();
+    const NAME: &'static str = "serve";
+
+    /// Answers the handshake, admits solve requests into the bounded queue,
+    /// reports stats, and honours shutdown.
+    fn handle(&self, _: &mut (), conn: &Arc<Conn>, request: ToServe) -> ControlFlow<()> {
+        let reply = match request {
+            ToServe::Hello { protocol } if protocol != PROTOCOL_VERSION => {
+                let _ = conn.send(&FromServe::Error {
+                    id: 0,
+                    message: format!(
+                        "protocol version skew: daemon speaks {PROTOCOL_VERSION}, \
+                         client sent {protocol}"
+                    ),
+                });
+                return ControlFlow::Break(());
             }
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        match ToServe::decode(line.trim_end()) {
-            Ok(ToServe::Hello { protocol }) => {
-                if protocol != PROTOCOL_VERSION {
-                    let _ = write_frame(
-                        &conn.writer,
-                        &FromServe::Error {
-                            id: 0,
-                            message: format!(
-                                "protocol version skew: daemon speaks {PROTOCOL_VERSION}, \
-                                 client sent {protocol}"
-                            ),
-                        },
-                    );
-                    return;
-                }
-                let _ = write_frame(
-                    &conn.writer,
-                    &FromServe::Ready {
-                        protocol: PROTOCOL_VERSION,
-                    },
-                );
-            }
-            Ok(ToServe::Solve {
+            ToServe::Hello { .. } => FromServe::Ready {
+                protocol: PROTOCOL_VERSION,
+            },
+            ToServe::Solve {
                 id,
                 problem,
                 backend,
                 deadline_seconds,
                 warm,
-            }) => {
-                admit(shared, &conn, id, problem, backend, deadline_seconds, warm);
+            } => {
+                admit(self, conn, id, problem, backend, deadline_seconds, warm);
+                return ControlFlow::Continue(());
             }
-            Ok(ToServe::Stats { id }) => {
-                let _ = write_frame(
-                    &conn.writer,
-                    &FromServe::Stats {
-                        id,
-                        stats: stats_report(shared),
-                    },
-                );
+            ToServe::Stats { id } => FromServe::Stats {
+                id,
+                stats: stats_report(self),
+            },
+            ToServe::Shutdown => {
+                self.stop.raise();
+                self.wake_workers();
+                return ControlFlow::Break(());
             }
-            Ok(ToServe::Shutdown) => {
-                shared.stop.store(true, Ordering::SeqCst);
-                shared.queue_cv.notify_all();
-                // Unblock the accept loop exactly like `ServeHandle::stop`.
-                if let Ok(Ok(local)) = conn.writer.lock().map(|w| w.local_addr()) {
-                    let _ = TcpStream::connect(local);
-                }
-                return;
-            }
-            Err(err) => {
-                shared.decode_errors.fetch_add(1, Ordering::Relaxed);
-                let _ = write_frame(
-                    &conn.writer,
-                    &FromServe::Error {
-                        id: 0,
-                        message: format!("malformed frame: {err}"),
-                    },
-                );
-                // A stream that desynchronized once cannot be trusted to
-                // frame the next line either.
-                return;
-            }
+        };
+        let _ = conn.send(&reply);
+        ControlFlow::Continue(())
+    }
+
+    /// A stalled client counts as a read timeout; an oversized or
+    /// undecodable line as a decode error.
+    fn refuse(&self, fault: &LineFault) -> FromServe {
+        let counter = match fault {
+            LineFault::Timeout(_) => &self.read_timeouts,
+            LineFault::Oversized | LineFault::Malformed(_) => &self.decode_errors,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        FromServe::Error {
+            id: 0,
+            message: fault.to_string(),
         }
     }
 }
@@ -439,7 +344,7 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
 /// request or answers [`FromServe::Rejected`] when the queue is full.
 #[allow(clippy::too_many_arguments)]
 fn admit(
-    shared: &Arc<Shared>,
+    shared: &Shared,
     conn: &Arc<Conn>,
     id: usize,
     problem: AllocationProblem,
@@ -452,13 +357,10 @@ fn admit(
     let deadline = match deadline_seconds.map(Deadline::within_seconds).transpose() {
         Ok(deadline) => deadline,
         Err(err) => {
-            let _ = write_frame(
-                &conn.writer,
-                &FromServe::Error {
-                    id,
-                    message: err.to_string(),
-                },
-            );
+            let _ = conn.send(&FromServe::Error {
+                id,
+                message: err.to_string(),
+            });
             return;
         }
     };
@@ -478,7 +380,7 @@ fn admit(
         } else {
             // Raised under the queue lock, so the count is visibly non-zero
             // before any worker can claim (and answer) the job.
-            conn.pending.fetch_add(1, Ordering::AcqRel);
+            conn.owe_reply();
             queue.push_back(job);
             shared.queue_cv.notify_one();
             None
@@ -486,14 +388,11 @@ fn admit(
     };
     if let Some(queue_depth) = rejected {
         shared.rejected.fetch_add(1, Ordering::Relaxed);
-        let _ = write_frame(
-            &conn.writer,
-            &FromServe::Rejected {
-                id,
-                queue_depth,
-                capacity: shared.options.queue_capacity,
-            },
-        );
+        let _ = conn.send(&FromServe::Rejected {
+            id,
+            queue_depth,
+            capacity: shared.options.queue_capacity,
+        });
     }
 }
 
@@ -502,10 +401,10 @@ fn worker_loop(shared: &Arc<Shared>) {
     loop {
         let batch = {
             let mut queue = shared.queue.lock().expect("queue mutex poisoned");
-            while queue.is_empty() && !shared.stop.load(Ordering::SeqCst) {
+            while queue.is_empty() && !shared.stop.is_raised() {
                 queue = shared.queue_cv.wait(queue).expect("queue mutex poisoned");
             }
-            if shared.stop.load(Ordering::SeqCst) {
+            if shared.stop.is_raised() {
                 return;
             }
             let take = shared.options.batch_size.max(1).min(queue.len());
@@ -514,8 +413,7 @@ fn worker_loop(shared: &Arc<Shared>) {
         for job in batch {
             let conn = Arc::clone(&job.conn);
             let reply = serve_one(shared, job);
-            let _ = write_frame(&conn.writer, &reply);
-            conn.pending.fetch_sub(1, Ordering::AcqRel);
+            let _ = conn.send_owed(&reply);
         }
     }
 }
@@ -661,13 +559,4 @@ fn error_reply(shared: &Arc<Shared>, job: &Job, err: &AllocError) -> FromServe {
             message: err.to_string(),
         }
     }
-}
-
-fn write_frame(writer: &Mutex<TcpStream>, frame: &FromServe) -> Result<(), ServeError> {
-    let line = frame.encode()?;
-    let mut stream = writer.lock().expect("writer mutex poisoned");
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
-    stream.flush()?;
-    Ok(())
 }

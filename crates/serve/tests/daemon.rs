@@ -454,3 +454,46 @@ fn daemons_sharing_a_store_server_see_each_others_families() {
     store.stop();
     std::fs::remove_dir_all(&root).unwrap();
 }
+
+#[test]
+fn oversized_frames_are_refused_and_counted() {
+    let (handle, addr) = spawn(ServeOptions {
+        workers: 1,
+        ..ServeOptions::default()
+    });
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    // A daemon without the cap would wait for more bytes: fail, not hang.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    // A peer streaming bytes without a newline must not grow the daemon's
+    // memory without limit: one byte past the cap it answers a typed error
+    // and drops the connection.
+    let chunk = vec![b'x'; 1 << 20];
+    let mut left = mfa_dispatch::daemon::MAX_FRAME_BYTES + 1;
+    while left > 0 {
+        let n = left.min(chunk.len());
+        stream.write_all(&chunk[..n]).unwrap();
+        left -= n;
+    }
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    match FromServe::decode(reply.trim_end()).unwrap() {
+        FromServe::Error { id, message } => {
+            assert_eq!(id, 0);
+            assert!(message.contains("exceeds"), "{message}");
+        }
+        other => panic!("expected an oversized-frame error, got {other:?}"),
+    }
+    reply.clear();
+    assert_eq!(reader.read_line(&mut reply).unwrap(), 0, "expected EOF");
+    assert_eq!(handle.stats().decode_errors, 1);
+    // A fresh connection is still served.
+    let mut client = ServeClient::connect(&addr).unwrap();
+    let reply = client
+        .solve(&alex16(0.70), BackendKind::Greedy, None, false)
+        .unwrap();
+    assert!(matches!(reply, SolveReply::Report(_)));
+    handle.stop();
+}

@@ -3,12 +3,13 @@
 //! shared network store through the exact surface a local directory store
 //! offers.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 use std::time::Duration;
 
 use mfa_alloc::fingerprint::Fingerprint;
 use mfa_explore::store::{ResultStore, StoreEntry};
+use mfa_explore::wire;
 use mfa_explore::{ExploreError, GcReport};
 
 use crate::error::StoreNetError;
@@ -34,11 +35,7 @@ struct Session {
 
 impl Session {
     fn send(&mut self, frame: &ToStore) -> Result<(), StoreNetError> {
-        let line = frame.encode()?;
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
-        Ok(())
+        wire::write_frame(&mut self.writer, frame)
     }
 
     fn read_frame(&mut self) -> Result<FromStore, StoreNetError> {

@@ -3,7 +3,8 @@
 //!
 //! Every frame is one compact JSON object on one `\n`-terminated line with a
 //! `"type"` tag, exactly like the sweep dispatcher's and the allocation
-//! daemon's frames; all three families share one version constant
+//! daemon's frames — all three are [`Frame`](mfa_explore::wire::Frame)s of [`mfa_explore::wire`],
+//! which also supplies the field readers; they share one version constant
 //! ([`PROTOCOL_VERSION`]) so any incompatible change to any of them is a
 //! single bump visible to every JSON-lines peer in the workspace. Entry
 //! payloads are the store's own canonical line documents
@@ -38,7 +39,9 @@
 use mfa_alloc::fingerprint::Fingerprint;
 use mfa_explore::json::Json;
 use mfa_explore::store::{entry_from_json, entry_to_json, GcReport, StoreEntry};
-use mfa_explore::wire::WireError;
+use mfa_explore::wire::{
+    arr_field, field, parse_line, str_field, type_tag, usize_field, WireError,
+};
 
 /// Protocol version of the store frames — shared with the sweep dispatcher
 /// and the allocation daemon (see
@@ -172,24 +175,6 @@ pub enum FromStore {
     },
 }
 
-fn type_tag(doc: &Json) -> Result<&str, WireError> {
-    doc.get("type")
-        .and_then(Json::as_str)
-        .ok_or_else(|| WireError::Schema("frame needs a string 'type' tag".into()))
-}
-
-fn usize_field(doc: &Json, key: &str) -> Result<usize, WireError> {
-    doc.get(key)
-        .and_then(Json::as_usize)
-        .ok_or_else(|| WireError::Schema(format!("frame field '{key}' must be an integer")))
-}
-
-fn str_field<'a>(doc: &'a Json, key: &str) -> Result<&'a str, WireError> {
-    doc.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| WireError::Schema(format!("frame field '{key}' must be a string")))
-}
-
 fn fingerprint_of(raw: &str) -> Result<Fingerprint, WireError> {
     raw.parse()
         .map_err(|_| WireError::Invalid(format!("'{raw}' is not a fingerprint")))
@@ -271,13 +256,10 @@ impl ToStore {
     /// here (the sender built it from live data); damaged entries at rest
     /// are the server's open-scan concern, not the codec's.
     pub fn decode(line: &str) -> Result<ToStore, WireError> {
-        let doc = Json::parse(line).map_err(|err| WireError::Parse(err.to_string()))?;
+        let doc = parse_line(line)?;
         match type_tag(&doc)? {
             "store-hello" => {
-                let namespace = match doc
-                    .get("namespace")
-                    .ok_or_else(|| WireError::Schema("store-hello needs 'namespace'".into()))?
-                {
+                let namespace = match field(&doc, "namespace")? {
                     Json::Null => None,
                     other => Some(
                         other
@@ -322,10 +304,7 @@ impl ToStore {
                 Ok(ToStore::Get { id, query })
             }
             "put" => {
-                let entries = doc
-                    .get("entries")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| WireError::Schema("put frame needs an 'entries' array".into()))?
+                let entries = arr_field(&doc, "entries")?
                     .iter()
                     .map(|item| {
                         entry_from_json(item)?.ok_or_else(|| {
@@ -436,18 +415,13 @@ impl FromStore {
     /// Returns [`WireError`] on malformed JSON, unknown frame types, or
     /// invalid payloads — a client treats any of these as a broken session.
     pub fn decode(line: &str) -> Result<FromStore, WireError> {
-        let doc = Json::parse(line).map_err(|err| WireError::Parse(err.to_string()))?;
+        let doc = parse_line(line)?;
         match type_tag(&doc)? {
             "store-ready" => Ok(FromStore::Ready {
                 protocol: usize_field(&doc, "protocol")?,
             }),
             "entries" => {
-                let entries = doc
-                    .get("entries")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| {
-                        WireError::Schema("entries frame needs an 'entries' array".into())
-                    })?
+                let entries = arr_field(&doc, "entries")?
                     .iter()
                     .map(|item| match item {
                         Json::Null => Ok(None),
@@ -498,6 +472,8 @@ impl FromStore {
         }
     }
 }
+
+mfa_explore::impl_frame!(ToStore, FromStore);
 
 #[cfg(test)]
 mod tests {

@@ -1,15 +1,22 @@
-//! The store-server: accept loop and per-connection sessions serving
-//! namespaced [`SweepStore`] directories over the JSON-lines protocol.
+//! The store-server: per-connection sessions serving namespaced
+//! [`SweepStore`] directories over the JSON-lines protocol.
+//!
+//! The sockets are not handled here: the accept loop, the per-connection
+//! reader (frame length cap, read timeout), the shared writer and the stop
+//! signal are the daemon skeleton in [`mfa_dispatch::daemon`], shared with
+//! the allocation daemon, and the frame codec is [`mfa_explore::wire`]'s.
+//! This module is the skeleton's [`Handler`] for [`ToStore`] requests; a
+//! session's state is the namespace its handshake bound.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
+use std::ops::ControlFlow;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
+use mfa_dispatch::daemon::{Conn, Daemon, Handler, LineFault, StopSignal};
 use mfa_explore::store::{ResultStore, SweepStore};
 
 use crate::error::StoreNetError;
@@ -75,9 +82,9 @@ fn validate_namespace(namespace: &str) -> Result<(), String> {
 /// different namespaces never serialize behind one store's disk I/O.
 type SharedStore = Arc<Mutex<SweepStore>>;
 
-/// State shared by the accept loop and the connection sessions.
+/// State shared by the connection sessions.
 struct Shared {
-    stop: AtomicBool,
+    stop: StopSignal,
     root: PathBuf,
     options: StoreServerOptions,
     /// Open namespaces, one lock per store. A `BTreeMap` so stats
@@ -127,9 +134,8 @@ impl Shared {
 /// joins it — sessions hold no dirty state (every `put` is committed to disk
 /// before `put-ok` is written), so they are simply abandoned.
 pub struct StoreServer {
-    addr: SocketAddr,
+    daemon: Daemon,
     shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
 }
 
 impl StoreServer {
@@ -154,10 +160,8 @@ impl StoreServer {
         root: impl Into<PathBuf>,
         options: StoreServerOptions,
     ) -> Result<StoreServer, StoreNetError> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
         let shared = Arc::new(Shared {
-            stop: AtomicBool::new(false),
+            stop: StopSignal::default(),
             root: root.into(),
             options,
             stores: Mutex::new(BTreeMap::new()),
@@ -165,27 +169,25 @@ impl StoreServer {
             misses: AtomicUsize::new(0),
             puts: AtomicUsize::new(0),
         });
-        let accept = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || accept_loop(&listener, &shared))
-        };
-        Ok(StoreServer {
-            addr: local,
-            shared,
-            accept: Some(accept),
-        })
+        let daemon = Daemon::spawn(
+            addr,
+            Arc::clone(&shared),
+            shared.stop.clone(),
+            shared.options.read_timeout,
+        )?;
+        Ok(StoreServer { daemon, shared })
     }
 
     /// The bound address (with `:0` resolved to the actual port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.daemon.local_addr()
     }
 
     /// `true` once the server has been asked to stop (by a client's
     /// shutdown frame or a concurrent [`stop`](Self::stop)); the
     /// `store-server` binary polls this to know when to exit.
     pub fn is_stopped(&self) -> bool {
-        self.shared.stop.load(Ordering::SeqCst)
+        self.shared.stop.is_raised()
     }
 
     /// A snapshot of the server's aggregate counters.
@@ -196,32 +198,8 @@ impl StoreServer {
     /// Stops the server: wakes the accept loop and joins it. Session
     /// threads exit when their clients disconnect; committed data is
     /// already on disk.
-    pub fn stop(mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-    }
-}
-
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    for stream in listener.incoming() {
-        if shared.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        match stream {
-            Ok(stream) => {
-                let _ = stream.set_nodelay(true);
-                let shared = Arc::clone(shared);
-                // Session threads are not joined: they exit at client EOF.
-                std::thread::spawn(move || session_loop(stream, &shared));
-            }
-            Err(err) => {
-                eprintln!("store-server: accept failed: {err}");
-            }
-        }
+    pub fn stop(self) {
+        self.daemon.stop();
     }
 }
 
@@ -248,118 +226,56 @@ fn with_bound_store<T>(
     })
 }
 
-/// Serves one client session: handshake (which binds the namespace), then
-/// get/put/stats/evict requests until EOF or shutdown.
-fn session_loop(stream: TcpStream, shared: &Arc<Shared>) {
-    let mut writer = match stream.try_clone() {
-        Ok(clone) => clone,
-        Err(err) => {
-            eprintln!("store-server: cannot clone connection: {err}");
-            return;
-        }
-    };
-    if let Err(err) = stream.set_read_timeout(shared.options.read_timeout) {
-        eprintln!("store-server: cannot arm read timeout: {err}");
-        return;
-    }
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    let mut bound: Option<SharedStore> = None;
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return,
-            Ok(_) => {}
-            // A timed-out read surfaces as WouldBlock or TimedOut depending
-            // on the platform. Sessions are strict request/reply — the
-            // server never owes this client a reply while it waits here —
-            // so a silent window this long means a stalled (or gone)
-            // client, and the session thread is reclaimed. A RemoteStore
-            // client that was merely idle redials on its next request.
-            Err(err)
-                if matches!(
-                    err.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                let limit = shared
-                    .options
-                    .read_timeout
-                    .expect("a read only times out when a timeout is armed");
-                let _ = write_frame(
-                    &mut writer,
-                    &FromStore::Error {
-                        id: 0,
-                        message: format!("session timed out: no complete frame within {limit:?}"),
-                    },
-                );
-                return;
-            }
-            Err(err) => {
-                eprintln!("store-server: connection read failed: {err}");
-                return;
-            }
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let frame = match ToStore::decode(line.trim_end()) {
-            Ok(frame) => frame,
-            Err(err) => {
-                let _ = write_frame(
-                    &mut writer,
-                    &FromStore::Error {
-                        id: 0,
-                        message: format!("malformed frame: {err}"),
-                    },
-                );
-                // A stream that desynchronized once cannot be trusted to
-                // frame the next line either.
-                return;
-            }
-        };
-        let reply = match frame {
+impl Handler for Shared {
+    type Request = ToStore;
+    type Reply = FromStore;
+    /// The namespace the session's handshake bound.
+    type Session = Option<SharedStore>;
+    const NAME: &'static str = "store-server";
+
+    /// Serves one request of a session: the handshake (which binds the
+    /// namespace), then get/put/stats/evict until EOF or shutdown.
+    fn handle(
+        &self,
+        bound: &mut Option<SharedStore>,
+        conn: &Arc<Conn>,
+        request: ToStore,
+    ) -> ControlFlow<()> {
+        let reply = match request {
             ToStore::Hello {
                 protocol,
                 namespace,
             } => {
                 if protocol != PROTOCOL_VERSION {
-                    let _ = write_frame(
-                        &mut writer,
-                        &FromStore::Error {
-                            id: 0,
-                            message: format!(
-                                "protocol version skew: store-server speaks \
-                                 {PROTOCOL_VERSION}, client sent {protocol}"
-                            ),
-                        },
-                    );
-                    return;
+                    let _ = conn.send(&FromStore::Error {
+                        id: 0,
+                        message: format!(
+                            "protocol version skew: store-server speaks \
+                             {PROTOCOL_VERSION}, client sent {protocol}"
+                        ),
+                    });
+                    return ControlFlow::Break(());
                 }
-                match bind_namespace(shared, namespace) {
+                match bind_namespace(self, namespace) {
                     Ok(store) => {
-                        bound = store;
+                        *bound = store;
                         FromStore::Ready {
                             protocol: PROTOCOL_VERSION,
                         }
                     }
                     Err(message) => {
-                        let _ = write_frame(&mut writer, &FromStore::Error { id: 0, message });
-                        return;
+                        let _ = conn.send(&FromStore::Error { id: 0, message });
+                        return ControlFlow::Break(());
                     }
                 }
             }
             ToStore::Get { id, query } => {
-                match with_bound_store(&bound, id, |store| serve_get(store, &query)) {
+                match with_bound_store(bound, id, |store| serve_get(store, &query)) {
                     Ok(entries) => {
                         if matches!(query, GetQuery::Points(_)) {
                             let hits = entries.iter().filter(|slot| slot.is_some()).count();
-                            shared.hits.fetch_add(hits, Ordering::Relaxed);
-                            shared
-                                .misses
+                            self.hits.fetch_add(hits, Ordering::Relaxed);
+                            self.misses
                                 .fetch_add(entries.len() - hits, Ordering::Relaxed);
                         }
                         FromStore::Entries { id, entries }
@@ -369,11 +285,11 @@ fn session_loop(stream: TcpStream, shared: &Arc<Shared>) {
             }
             ToStore::Put { id, entries } => {
                 let appended = entries.len();
-                match with_bound_store(&bound, id, |store| {
+                match with_bound_store(bound, id, |store| {
                     store.put(entries).map_err(StoreNetError::from)
                 }) {
                     Ok(()) => {
-                        shared.puts.fetch_add(appended, Ordering::Relaxed);
+                        self.puts.fetch_add(appended, Ordering::Relaxed);
                         FromStore::PutOk { id, appended }
                     }
                     Err(reply) => reply,
@@ -381,26 +297,33 @@ fn session_loop(stream: TcpStream, shared: &Arc<Shared>) {
             }
             ToStore::Stats { id } => FromStore::Stats {
                 id,
-                stats: shared.stats(),
+                stats: self.stats(),
             },
             ToStore::Evict { id } => {
-                match with_bound_store(&bound, id, |store| store.gc().map_err(StoreNetError::from))
-                {
+                match with_bound_store(bound, id, |store| store.gc().map_err(StoreNetError::from)) {
                     Ok(report) => FromStore::Evicted { id, report },
                     Err(reply) => reply,
                 }
             }
             ToStore::Shutdown => {
-                shared.stop.store(true, Ordering::SeqCst);
-                // Unblock the accept loop exactly like `StoreServer::stop`.
-                if let Ok(local) = writer.local_addr() {
-                    let _ = TcpStream::connect(local);
-                }
-                return;
+                self.stop.raise();
+                return ControlFlow::Break(());
             }
         };
-        if write_frame(&mut writer, &reply).is_err() {
-            return;
+        match conn.send(&reply) {
+            Ok(()) => ControlFlow::Continue(()),
+            Err(_) => ControlFlow::Break(()),
+        }
+    }
+
+    /// Sessions are strict request/reply — the server never owes a client a
+    /// reply while it reads — so a read timeout always means a stalled (or
+    /// gone) client; a `RemoteStore` that was merely idle redials on its
+    /// next request.
+    fn refuse(&self, fault: &LineFault) -> FromStore {
+        FromStore::Error {
+            id: 0,
+            message: fault.to_string(),
         }
     }
 }
@@ -439,14 +362,6 @@ fn serve_get(store: &mut SweepStore, query: &GetQuery) -> Result<Slots, StoreNet
         GetQuery::Series(series) => store.get_series(series)?.into_iter().map(Some).collect(),
         GetQuery::All => store.snapshot()?.into_iter().map(Some).collect(),
     })
-}
-
-fn write_frame(writer: &mut TcpStream, frame: &FromStore) -> Result<(), StoreNetError> {
-    let line = frame.encode()?;
-    writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()?;
-    Ok(())
 }
 
 #[cfg(test)]

@@ -348,3 +348,40 @@ fn a_client_shutdown_frame_stops_the_whole_server() {
     server.stop();
     std::fs::remove_dir_all(&root).unwrap();
 }
+
+#[test]
+fn oversized_frames_are_refused_and_the_server_keeps_serving() {
+    let root = temp_root("oversized");
+    let (server, addr) = spawn(&root);
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    // A server without the cap would wait for more bytes: fail, not hang.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    // One byte past the frame cap with no newline: the server stops
+    // buffering at the cap, answers a typed error and drops the session.
+    let chunk = vec![b'x'; 1 << 20];
+    let mut left = mfa_dispatch::daemon::MAX_FRAME_BYTES + 1;
+    while left > 0 {
+        let n = left.min(chunk.len());
+        stream.write_all(&chunk[..n]).unwrap();
+        left -= n;
+    }
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    match FromStore::decode(reply.trim_end()).unwrap() {
+        FromStore::Error { id, message } => {
+            assert_eq!(id, 0);
+            assert!(message.contains("exceeds"), "{message}");
+        }
+        other => panic!("expected an oversized-frame error, got {other:?}"),
+    }
+    reply.clear();
+    assert_eq!(reader.read_line(&mut reply).unwrap(), 0, "expected EOF");
+    // A fresh session is still served.
+    let mut client = RemoteStore::connect(&addr, "fig2").expect("connect after overflow");
+    assert_eq!(client.stats().expect("stats").namespaces, 1);
+    server.stop();
+    std::fs::remove_dir_all(&root).unwrap();
+}
